@@ -39,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "traffic/metrics.hpp"
 #include "util/counters.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -87,19 +88,31 @@ struct BenchArgs {
   /// Long-haul utilization that arms the WAN-offload policy.
   double offload_threshold = 0.85;
 
+  /// Parses the shared flags.  An unknown flag, a flag missing its value,
+  /// or a number that is malformed or has trailing characters prints a
+  /// message and exits 2.
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string_view {
+        if (i + 1 >= argc) usage_error("missing value for " + arg);
+        return argv[++i];
+      };
+      const auto number = [&]<typename T>(T& out) {
+        const std::string_view text = value();
+        const auto parsed = util::parse_number<T>(text);
+        if (!parsed) usage_error("malformed number '" + std::string{text} + "' for " + arg);
+        out = *parsed;
+      };
       if (arg == "--small") {
         args.small = true;
         args.scale = topo::InternetScale::kSmall;
-      } else if (arg == "--scale" && i + 1 < argc) {
-        const std::string_view tier = argv[++i];
+      } else if (arg == "--scale") {
+        const std::string_view tier = value();
         const auto parsed = topo::scale_from_string(tier);
         if (!parsed) {
-          std::cerr << "unknown --scale '" << tier << "' (valid: small|paper|full|xl)\n";
-          std::exit(2);
+          usage_error("unknown --scale '" + std::string{tier} + "' (valid: small|paper|full|xl)");
         }
         args.scale = *parsed;
         args.small = (*parsed == topo::InternetScale::kSmall);
@@ -107,24 +120,31 @@ struct BenchArgs {
         args.json = true;
       } else if (arg == "--trace") {
         args.trace = true;
-      } else if (arg == "--seed" && i + 1 < argc) {
-        args.seed = std::strtoull(argv[++i], nullptr, 10);
-      } else if (arg == "--days" && i + 1 < argc) {
-        args.days = std::strtod(argv[++i], nullptr);
-      } else if (arg == "--threads" && i + 1 < argc) {
-        args.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-      } else if (arg == "--offered-load" && i + 1 < argc) {
-        args.offered_load_mbps = std::strtod(argv[++i], nullptr);
-      } else if (arg == "--offload-threshold" && i + 1 < argc) {
-        args.offload_threshold = std::strtod(argv[++i], nullptr);
+      } else if (arg == "--seed") {
+        number(args.seed);
+      } else if (arg == "--days") {
+        number(args.days);
+      } else if (arg == "--threads") {
+        number(args.threads);
+      } else if (arg == "--offered-load") {
+        number(args.offered_load_mbps);
+      } else if (arg == "--offload-threshold") {
+        number(args.offload_threshold);
       } else if (arg == "--help") {
         std::cout << "flags: --scale {small,paper,full,xl} --small --seed N --days D "
                      "--threads N --offered-load MBPS --offload-threshold U "
                      "--json --trace\n";
         std::exit(0);
+      } else {
+        usage_error("unknown flag '" + arg + "'");
       }
     }
     return args;
+  }
+
+  [[noreturn]] static void usage_error(const std::string& message) {
+    std::cerr << message << " (see --help)\n";
+    std::exit(2);
   }
 
   [[nodiscard]] measure::WorkbenchConfig workbench_config() const {

@@ -1,19 +1,22 @@
-// Serving-mode SLO bench: live p50/p99 resolution latency under churn.
+// Serving-mode SLO bench: resolution latency and publish latency under churn.
 //
 // Builds the serving world, generates a deterministic churn trace (route
 // flaps over the upstream transit sessions plus link/upstream faults), and
 // runs serve::Engine: a churn thread streams the trace into the fabric while
-// resolver threads hammer the lazily-patched viewpoint FIBs.  One run yields
-// the full SLO picture — steady-phase and converging-phase latency ladders,
-// freshness lag in batch ticks, stale-served counts, patch-vs-rebuild
-// split — emitted as the `slo` block of BENCH_slo_serving.json.
+// resolver threads probe the viewpoint FIBs that each convergence publishes.
+// One run yields the resolve ladder (ns per probe), the publish ladder (µs
+// from a batch's first applied event to the end of the convergence that made
+// it live) and the patch-vs-rebuild split, emitted as the `slo` block of
+// BENCH_slo_serving.json.
 //
 // A second engine run over the *same trace* against a world with incremental
-// FIB patching disabled (fib_patch_max_dirty_fraction < 0, every refresh a
-// full DIR-16-8-8 recompile) isolates what the RIB-delta patch path buys the
-// serving tail: the converging-phase p99 of both configurations prints side
-// by side and lands in the metrics.
+// FIB patching disabled (fib_patch_max_dirty_fraction < 0, every publish a
+// full DIR-16-8-8 recompile of each viewpoint) isolates what the RIB-delta
+// patch path buys: the publish latency of both configurations prints side by
+// side and lands in the metrics.
+#include <cmath>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "bench/bench_common.hpp"
@@ -60,7 +63,7 @@ int main(int argc, char** argv) {
   const serve::SloReport patched = run_engine(w.vns(), trace, args, &heartbeats);
 
   // Comparison world: identical topology and routes, but every viewpoint-FIB
-  // refresh is a full recompile.  Same trace, so the control-plane
+  // publish is a full recompile.  Same trace, so the control-plane
   // trajectory is identical; only the data-plane refresh strategy differs.
   auto full_config = args.workbench_config();
   full_config.vns.fib_patch_max_dirty_fraction = -1.0;
@@ -73,40 +76,37 @@ int main(int argc, char** argv) {
 
   std::cout << "heartbeats (every 4 batches):\n" << heartbeats.str() << "\n";
 
-  util::TextTable table{{"configuration", "phase", "samples", "p50(us)", "p99(us)", "p999(us)"}};
-  const auto row = [&table](const char* config_name, const char* phase,
-                            const obs::LatencySnapshot& snap) {
-    table.add_row({config_name, phase, std::to_string(snap.total()),
-                   util::format_double(snap.quantile(0.50) / 1000.0, 1),
-                   util::format_double(snap.quantile(0.99) / 1000.0, 1),
-                   util::format_double(snap.quantile(0.999) / 1000.0, 1)});
+  // Percentiles with fewer than ten samples beyond them print as "-" (the
+  // publish ladder has one sample per batch).
+  util::TextTable table{{"configuration", "ladder", "samples", "p50", "p90", "p99", "max"}};
+  const auto cell = [](std::optional<double> value) {
+    return value ? util::format_double(*value, 1) : std::string{"-"};
   };
-  row("incremental patch", "steady", patched.steady_ns);
-  row("incremental patch", "converging", patched.converging_ns);
-  row("incremental patch", "stale", patched.stale_ns);
-  row("full rebuild", "steady", full_rebuild.steady_ns);
-  row("full rebuild", "converging", full_rebuild.converging_ns);
-  row("full rebuild", "stale", full_rebuild.stale_ns);
+  const auto row = [&](const char* config_name, const char* ladder,
+                       const obs::LatencySnapshot& snap) {
+    table.add_row({config_name, ladder, std::to_string(snap.total()),
+                   cell(snap.reported_quantile(0.50)), cell(snap.reported_quantile(0.90)),
+                   cell(snap.reported_quantile(0.99)), cell(snap.reported_max())});
+  };
+  row("incremental patch", "resolve (ns)", patched.resolve_ns);
+  row("incremental patch", "publish (us)", patched.publish_us);
+  row("full rebuild", "resolve (ns)", full_rebuild.resolve_ns);
+  row("full rebuild", "publish (us)", full_rebuild.publish_us);
   table.print(std::cout);
-  std::cout << "\nfreshness lag (batches): p50 "
-            << patched.freshness_lag.quantile(0.50) << ", p99 "
-            << patched.freshness_lag.quantile(0.99) << ", max "
-            << patched.max_freshness_lag << " over "
-            << patched.freshness_lag.total() << " retirements\n";
-  std::cout << "patch vs rebuild: " << patched.fib_patches << " patches, "
+  std::cout << "\npatch vs rebuild: " << patched.fib_patches << " patches, "
             << patched.fib_full_rebuilds << " full rebuilds (patched world); "
             << full_rebuild.fib_patches << " patches, " << full_rebuild.fib_full_rebuilds
             << " full rebuilds (rebuild world)\n";
 
+  const auto reported = [](std::optional<double> value) { return value.value_or(std::nan("")); };
   bench::metric("probes", patched.probes);
-  bench::metric("stale_served", patched.stale_served);
-  bench::metric("steady_p50_ns", patched.steady_ns.quantile(0.50));
-  bench::metric("steady_p99_ns", patched.steady_ns.quantile(0.99));
-  bench::metric("converging_p50_ns", patched.converging_ns.quantile(0.50));
-  bench::metric("converging_p99_ns", patched.converging_ns.quantile(0.99));
-  bench::metric("converging_p99_full_rebuild_ns", full_rebuild.converging_ns.quantile(0.99));
-  bench::metric("freshness_lag_p99_batches", patched.freshness_lag.quantile(0.99));
-  bench::metric("max_freshness_lag_batches", patched.max_freshness_lag);
+  bench::metric("resolve_p50_ns", reported(patched.resolve_ns.reported_quantile(0.50)));
+  bench::metric("resolve_p99_ns", reported(patched.resolve_ns.reported_quantile(0.99)));
+  bench::metric("publish_p50_us", reported(patched.publish_us.reported_quantile(0.50)));
+  bench::metric("publish_p50_full_rebuild_us",
+                reported(full_rebuild.publish_us.reported_quantile(0.50)));
+  bench::metric("publish_max_us", reported(patched.publish_us.reported_max()));
+  bench::metric("publish_max_full_rebuild_us", reported(full_rebuild.publish_us.reported_max()));
   bench::metric("fib_patches", patched.fib_patches);
   bench::metric("fib_full_rebuilds", patched.fib_full_rebuilds);
   bench::BenchRecord::global().block("slo", patched.to_json());

@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
   record.config("prefixes", prefixes);
   record.config("ebgp_sessions", w.vns().fabric().neighbor_count());
 
-  // Compile every viewpoint FIB (one egress query per PoP forces it); this
-  // is the steady serving footprint the ratio check compares against.
-  const auto t1 = std::chrono::steady_clock::now();
+  // The feed's closing convergence published every viewpoint FIB; one egress
+  // query per PoP checks that each answers.  This is the steady serving
+  // footprint the ratio check compares against.
   const auto probe = config.vns.anycast_prefix.first_host();
   for (const auto& pop : w.vns().pops()) {
     const auto egress = w.vns().egress_pop(pop.id, probe);
@@ -82,8 +82,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const double compile_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t1).count();
 
   const std::uint64_t steady_kb = current_rss_kb();
   const std::uint64_t peak_kb = bench::peak_rss_kb();
@@ -93,9 +91,8 @@ int main(int argc, char** argv) {
       steady_kb > 0 ? static_cast<double>(peak_kb) / static_cast<double>(steady_kb) : 0.0;
 
   std::cout << "viewpoint FIBs: " << fib.entries << " entries, " << fib.spill_tables
-            << " spill tables, compiled in " << util::format_double(compile_seconds, 2)
-            << " s (cumulative full builds " << util::format_double(fib.full_build_seconds, 2)
-            << " s)\n";
+            << " spill tables, cumulative full builds "
+            << util::format_double(fib.full_build_seconds, 2) << " s (inside the build)\n";
   std::cout << "rib arena: " << arena.reserved_bytes / (1024 * 1024) << " MiB reserved, "
             << arena.live_bytes / (1024 * 1024) << " MiB live, " << arena.freelist_reuses
             << " freelist reuses across " << arena.allocations << " allocations\n";
@@ -104,14 +101,14 @@ int main(int argc, char** argv) {
 
   bench::metric("prefixes", prefixes);
   bench::metric("build_seconds", build_seconds);
-  bench::metric("fib_compile_seconds", compile_seconds);
+  bench::metric("fib_compile_seconds", fib.full_build_seconds);
   bench::metric("steady_rss_kb", steady_kb);
   bench::metric("peak_over_steady", peak_over_steady);
   bench::metric("arena_reserved_bytes", arena.reserved_bytes);
   bench::metric("arena_live_bytes", arena.live_bytes);
   bench::metric("arena_freelist_reuses", arena.freelist_reuses);
 
-  bench::finish_run(args, build_seconds + compile_seconds);
+  bench::finish_run(args, build_seconds);
 
   // The streaming guarantee, enforced: the build may not have transiently
   // held significantly more than the converged world retains.  64 MiB of

@@ -149,7 +149,6 @@ void Fabric::announce(NeighborId from, const net::Ipv4Prefix& prefix, const Attr
     throw std::logic_error("announce on downed eBGP session " + info.name);
   }
   ++logical_time_;
-  ++rib_generation_;
   Route route;
   route.prefix = prefix;
   route.set_attrs(attrs);
@@ -169,7 +168,6 @@ void Fabric::withdraw(NeighborId from, const net::Ipv4Prefix& prefix) {
     throw std::logic_error("withdraw on downed eBGP session " + info.name);
   }
   ++logical_time_;
-  ++rib_generation_;
   Route route;
   route.prefix = prefix;
   const std::optional<Route> before =
@@ -181,7 +179,6 @@ void Fabric::withdraw(NeighborId from, const net::Ipv4Prefix& prefix) {
 
 void Fabric::originate(RouterId at, const net::Ipv4Prefix& prefix, Attributes attrs) {
   ++logical_time_;
-  ++rib_generation_;
   Router& target = router(at);
   const std::optional<Route> before =
       trace_ != nullptr ? capture_best(target, prefix) : std::nullopt;
@@ -192,7 +189,6 @@ void Fabric::originate(RouterId at, const net::Ipv4Prefix& prefix, Attributes at
 }
 
 void Fabric::refresh_policies() {
-  ++rib_generation_;
   for (auto& r : routers_) enqueue(r->refresh_all(&delta_log_));
 }
 
@@ -205,7 +201,6 @@ void Fabric::notify_igp_change() {
 bool Fabric::fail_link(RouterId a, RouterId b) {
   if (!igp_.remove_link(a, b)) return false;
   ++logical_time_;
-  ++rib_generation_;
   notify_igp_change();
   trace_event(obs::TraceEventKind::kLinkDown, a, b);
   return true;
@@ -214,7 +209,6 @@ bool Fabric::fail_link(RouterId a, RouterId b) {
 bool Fabric::restore_link(RouterId a, RouterId b) {
   if (!igp_.restore_link(a, b)) return false;
   ++logical_time_;
-  ++rib_generation_;
   notify_igp_change();
   trace_event(obs::TraceEventKind::kLinkUp, a, b);
   return true;
@@ -225,7 +219,6 @@ bool Fabric::fail_session(RouterId a, RouterId b) {
   Router& rb = router(b);
   if (!ra.session_is_up(SessionKind::kIbgp, b)) return false;
   ++logical_time_;
-  ++rib_generation_;
   // Both sides flush synchronously; whatever was in flight between them is
   // dropped at delivery time because the receiving side is already down.
   enqueue(ra.handle_session_down({SessionKind::kIbgp, b}, &delta_log_));
@@ -239,7 +232,6 @@ bool Fabric::restore_session(RouterId a, RouterId b) {
   Router& rb = router(b);
   if (!has_ibgp_session(ra, b) || ra.session_is_up(SessionKind::kIbgp, b)) return false;
   ++logical_time_;
-  ++rib_generation_;
   enqueue(ra.handle_session_up({SessionKind::kIbgp, b}));
   enqueue(rb.handle_session_up({SessionKind::kIbgp, a}));
   trace_event(obs::TraceEventKind::kIbgpSessionUp, a, b);
@@ -251,7 +243,6 @@ bool Fabric::fail_session(NeighborId neighbor_id) {
   Router& r = router(info.attached_to);
   if (!r.session_is_up(SessionKind::kEbgp, neighbor_id)) return false;
   ++logical_time_;
-  ++rib_generation_;
   enqueue(r.handle_session_down({SessionKind::kEbgp, neighbor_id}, &delta_log_));
   trace_event(obs::TraceEventKind::kEbgpSessionDown, info.attached_to, neighbor_id);
   // The neighbor's view of us dies with the TCP session.
@@ -264,7 +255,6 @@ bool Fabric::restore_session(NeighborId neighbor_id) {
   Router& r = router(info.attached_to);
   if (r.session_is_up(SessionKind::kEbgp, neighbor_id)) return false;
   ++logical_time_;
-  ++rib_generation_;
   enqueue(r.handle_session_up({SessionKind::kEbgp, neighbor_id}));
   trace_event(obs::TraceEventKind::kEbgpSessionUp, info.attached_to, neighbor_id);
   return true;
@@ -273,7 +263,6 @@ bool Fabric::restore_session(NeighborId neighbor_id) {
 void Fabric::fail_router(RouterId id) {
   if (router_down_.at(id)) return;
   ++logical_time_;
-  ++rib_generation_;
   trace_event(obs::TraceEventKind::kRouterDown, id, obs::kNoTraceId);
   DownedRouter record;
   for (const auto& session : router(id).ibgp_sessions()) {
@@ -300,7 +289,6 @@ void Fabric::restore_router(RouterId id) {
   const auto it = downed_routers_.find(id);
   if (it == downed_routers_.end()) return;
   ++logical_time_;
-  ++rib_generation_;
   trace_event(obs::TraceEventKind::kRouterUp, id, obs::kNoTraceId);
   DownedRouter record = std::move(it->second);
   downed_routers_.erase(it);
@@ -548,11 +536,6 @@ std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
     trace_event(obs::TraceEventKind::kConvergeEnd,
                 static_cast<std::uint32_t>(processed), obs::kNoTraceId);
   }
-  // Deliveries mutate Loc-RIBs too: a FIB compiled from a mid-convergence
-  // snapshot must not be mistaken for the converged state, so the generation
-  // moves again once the storm has been fully processed.
-  if (processed > 0) ++rib_generation_;
-
   run.messages = processed;
   run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -570,6 +553,7 @@ std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
     convergence_stats_.seconds += run.seconds;
     ConvergenceMetrics::global().record(run);
   }
+  if (on_converged_) on_converged_();
   return processed;
 }
 

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -177,8 +178,19 @@ class Fabric {
   /// hottest queued prefixes) if the next batch would exceed `max_messages`
   /// (a non-converging configuration).  The budget check is batch-atomic —
   /// a batch either runs in full or not at all — so budget exhaustion is
-  /// also identical for every thread count.
+  /// also identical for every thread count.  Every successful return, even
+  /// one that processed no message, ends by calling the on-converged
+  /// callback; a run that throws does not call it.
   std::size_t run_to_convergence(std::size_t max_messages = 20'000'000);
+
+  /// The post-convergence hook: the owner of the fabric's data plane
+  /// (core::VnsNetwork) publishes its FIBs from here, so any caller of
+  /// run_to_convergence — the network's own mutators or code driving the
+  /// fabric directly — leaves the published FIBs at the converged state.
+  /// One callback per fabric; an internal API, not a configuration knob.
+  void set_on_converged(std::function<void()> callback) {
+    on_converged_ = std::move(callback);
+  }
 
   /// Convergence worker-lane count: `requested` resolves through
   /// util::resolve_thread_count (>0 as-is, else VNS_THREADS, else hardware).
@@ -211,14 +223,6 @@ class Fabric {
   [[nodiscard]] obs::TraceSink* trace() const noexcept { return trace_; }
   [[nodiscard]] std::uint64_t logical_time() const noexcept { return logical_time_; }
 
-  /// Monotonic generation of the Loc-RIB state, bumped by every operation
-  /// that can change any router's RIB (announce/withdraw/originate, policy
-  /// refresh, every fault/restore that acts, and each convergence run that
-  /// delivered messages).  Compiled-FIB caches compare their recorded
-  /// generation against this to decide whether they are stale; it is never
-  /// part of routing state itself, so determinism suites are unaffected.
-  [[nodiscard]] std::uint64_t rib_generation() const noexcept { return rib_generation_; }
-
   /// A consumer's view of the RIB-delta log (see rib_deltas_since).
   struct RibDeltas {
     /// False when the log was trimmed past `cursor` (consumer fell too far
@@ -238,10 +242,10 @@ class Fabric {
 
   /// The RIB-delta protocol's consumer endpoint: every Loc-RIB change since
   /// log position `cursor`.  Pass 0 the first time, then the returned
-  /// next_cursor.  The log is bounded (kDeltaLogCap); a consumer that lags
-  /// past a trim gets complete=false and falls back to a full rebuild —
-  /// staleness is detected via rib_generation() exactly as before, so a
-  /// patched FIB can never serve state the generation check would reject.
+  /// next_cursor.  The log is the fabric's one staleness signal: a consumer
+  /// whose cursor equals the head has seen every change.  The log is
+  /// bounded (kDeltaLogCap); a consumer that lags past a trim gets
+  /// complete=false and falls back to a full rebuild.
   [[nodiscard]] RibDeltas rib_deltas_since(std::uint64_t cursor) const noexcept;
 
   // --- inspection -----------------------------------------------------------
@@ -313,7 +317,7 @@ class Fabric {
   std::unordered_map<RouterId, DownedRouter> downed_routers_;
   obs::TraceSink* trace_ = nullptr;  ///< not owned; null = tracing disabled
   std::uint64_t logical_time_ = 0;
-  std::uint64_t rib_generation_ = 1;
+  std::function<void()> on_converged_;
   /// RIB-delta log: every Loc-RIB change, in deterministic order.  Bounded:
   /// past kDeltaLogCap entries the log is cleared and delta_base_ advanced,
   /// which lagging consumers observe as complete=false (full rebuild).

@@ -346,6 +346,9 @@ void VnsNetwork::finish_streamed_feed() {
   if (known_prefixes_.insert(config_.anycast_prefix, true)) {
     known_log_.push_back(config_.anycast_prefix);
   }
+  // From here on every convergence — ours or a direct fabric caller's —
+  // publishes the viewpoint FIBs; the feed's checkpoints compiled nothing.
+  fabric_.set_on_converged([this] { publish_fibs(); });
   fabric_.run_to_convergence();
   streamed_since_flush_ = 0;
   warm_reach_cache();
@@ -517,62 +520,31 @@ std::optional<net::Ipv4Prefix> VnsNetwork::match_prefix(net::Ipv4Address address
   return hit->first;
 }
 
-VnsNetwork::Resolution VnsNetwork::resolve_prefix(const bgp::Router& router,
-                                                  const net::Ipv4Prefix& prefix) const {
-  Resolution resolution;
-  resolution.route = router.best_route(prefix);
-  if (resolution.route != nullptr && resolution.route->egress < router_pop_.size()) {
-    resolution.pop = router_pop_[resolution.route->egress];
-  }
-  return resolution;
+PopId VnsNetwork::egress_of(const bgp::Router& router, const net::Ipv4Prefix& prefix) const {
+  const bgp::Route* route = router.best_route(prefix);
+  return route != nullptr && route->egress < router_pop_.size() ? router_pop_[route->egress]
+                                                                : kNoPop;
 }
 
-void VnsNetwork::compile_viewpoint_fib(ViewpointFib& slot, const bgp::Router& router) const {
-  // Compile the viewpoint's resolution table from the converged RIB: one
-  // leaf per known prefix, carrying the router's current best route and its
-  // egress PoP.  Prefixes whose longest match has no installed route keep a
-  // null Resolution so the FIB reproduces the trie-then-hash answer exactly
-  // (no fallback to a shorter routed prefix).
-  std::vector<net::FlatFib::Leaf> leaves;
-  leaves.reserve(known_prefixes_.size());
-  std::vector<Resolution> values;
-  values.reserve(known_prefixes_.size());
-  known_prefixes_.for_each([&](const net::Ipv4Prefix& prefix, const bool&) {
-    leaves.push_back({prefix, static_cast<std::uint32_t>(values.size())});
-    values.push_back(resolve_prefix(router, prefix));
-  });
-  slot.values = std::move(values);
-  slot.fib = net::FlatFib::compile(std::move(leaves));
-}
-
-const VnsNetwork::ViewpointFib& VnsNetwork::viewpoint_fib(PopId viewpoint) const {
-  ViewpointFib& slot = *fibs_.at(viewpoint);
-  const std::uint64_t want = fabric_.rib_generation();
-  if (slot.generation.load(std::memory_order_acquire) == want) return slot;
-  std::lock_guard<std::mutex> lock(fib_mutex_);
-  if (slot.generation.load(std::memory_order_relaxed) == want) return slot;
-  const bgp::Router& router = fabric_.router(pops_.at(viewpoint).routers[0]);
-  const bgp::Fabric::RibDeltas log = fabric_.rib_deltas_since(
-      slot.delta_cursor.load(std::memory_order_relaxed));
-
+void VnsNetwork::catch_up(FibCopy& copy, const bgp::Router& router) {
+  const bgp::Fabric::RibDeltas log = fabric_.rib_deltas_since(copy.delta_cursor);
   // Incremental refresh via the RIB-delta protocol: patch only the prefixes
-  // whose resolution can have changed since the last compile.  Falls back to
-  // a full compile when the FIB was never built, the delta log was trimmed
-  // past our cursor, or the dirty fraction exceeds the configured threshold
-  // (past that point patching touches most of the arrays anyway).
+  // whose egress can have changed since this copy was last current.  Falls
+  // back to a full compile when the copy was never built, the delta log was
+  // trimmed past its cursor, or the dirty fraction exceeds the configured
+  // threshold (past that point patching touches most of the arrays anyway).
   bool patched = false;
-  if (slot.generation.load(std::memory_order_relaxed) != 0 && log.complete &&
-      config_.fib_patch_max_dirty_fraction >= 0.0) {
+  if (copy.fib.compiled() && log.complete && config_.fib_patch_max_dirty_fraction >= 0.0) {
     // This viewpoint's dirty set: deltas of its primary router unioned with
-    // the known-prefix tail its FIB has not seen — a prefix can become known
-    // (and thus owed a leaf, routed or not) without ever touching this
+    // the known-prefix tail the copy has not seen — a prefix can become
+    // known (and thus owed a leaf, routed or not) without ever touching this
     // router's Loc-RIB.
     std::vector<net::Ipv4Prefix> dirty;
-    dirty.reserve(log.deltas.size() + (known_log_.size() - slot.known_cursor));
+    dirty.reserve(log.deltas.size() + (known_log_.size() - copy.known_cursor));
     for (const auto& delta : log.deltas) {
       if (delta.router == router.id()) dirty.push_back(delta.prefix);
     }
-    for (std::size_t i = slot.known_cursor; i < known_log_.size(); ++i) {
+    for (std::size_t i = copy.known_cursor; i < known_log_.size(); ++i) {
       dirty.push_back(known_log_[i]);
     }
     std::sort(dirty.begin(), dirty.end());
@@ -589,66 +561,55 @@ const VnsNetwork::ViewpointFib& VnsNetwork::viewpoint_fib(PopId viewpoint) const
         // Only known prefixes have leaves; a delta for anything else (e.g. a
         // Loc-RIB entry the compile would not emit) must not add one.
         if (known_prefixes_.find(prefix) == nullptr) continue;
-        const Resolution resolution = resolve_prefix(router, prefix);
-        if (const net::FlatFib::Leaf* leaf = slot.fib.lookup_exact(prefix)) {
-          // Existing leaf: rewrite the payload in place.  The delta
-          // re-asserts the same value index, so patch() counts it as an
-          // update with zero slot writes.
-          slot.values[leaf->value] = resolution;
-          deltas.push_back({prefix, leaf->value});
-        } else {
-          deltas.push_back({prefix, static_cast<std::uint32_t>(slot.values.size())});
-          slot.values.push_back(resolution);
-        }
+        deltas.push_back({prefix, egress_of(router, prefix)});
       }
-      slot.fib.patch(deltas);
+      copy.fib.patch(deltas);
       patched = true;
     }
   }
-  if (!patched) compile_viewpoint_fib(slot, router);
-  slot.delta_cursor.store(log.next_cursor, std::memory_order_relaxed);
-  slot.known_cursor = known_log_.size();
-  slot.generation.store(want, std::memory_order_release);
-  return slot;
+  if (!patched) {
+    // One leaf per known prefix, unrouted ones included (value kNoPop), so
+    // the FIB reproduces the trie-then-RIB answer exactly: no fallback to a
+    // shorter routed prefix.
+    copy.fib = net::FlatFib::compile_from(
+        known_prefixes_,
+        [&](const net::Ipv4Prefix& prefix, const bool&) { return egress_of(router, prefix); });
+  }
+  copy.delta_cursor = log.next_cursor;
+  copy.known_cursor = known_log_.size();
+}
+
+void VnsNetwork::publish_fibs() {
+  const std::uint64_t head = fabric_.rib_deltas_since(0).next_cursor;
+  for (std::size_t v = 0; v < fibs_.size(); ++v) {
+    ViewpointFib& slot = *fibs_[v];
+    const FibCopy* live = slot.live.load(std::memory_order_relaxed);
+    if (live != nullptr && live->delta_cursor == head &&
+        live->known_cursor == known_log_.size()) {
+      continue;  // nothing moved since the last publish
+    }
+    FibCopy& standby = live == &slot.copies[0] ? slot.copies[1] : slot.copies[0];
+    catch_up(standby, fabric_.router(pops_[v].routers[0]));
+    slot.live.store(&standby, std::memory_order_release);
+  }
+}
+
+const net::FlatFib::Leaf* VnsNetwork::live_leaf(PopId viewpoint,
+                                                net::Ipv4Address address) const {
+  const FibCopy* live = fibs_.at(viewpoint)->live.load(std::memory_order_acquire);
+  return live == nullptr ? nullptr : live->fib.lookup(address);
 }
 
 const bgp::Route* VnsNetwork::route_at(PopId viewpoint, net::Ipv4Address address) const {
-  const ViewpointFib& fib = viewpoint_fib(viewpoint);
-  const net::FlatFib::Leaf* leaf = fib.fib.lookup(address);
-  return leaf == nullptr ? nullptr : fib.values[leaf->value].route;
+  const net::FlatFib::Leaf* leaf = live_leaf(viewpoint, address);
+  if (leaf == nullptr) return nullptr;
+  return fabric_.router(pops_.at(viewpoint).routers[0]).best_route(leaf->prefix);
 }
 
 std::optional<PopId> VnsNetwork::egress_pop(PopId viewpoint, net::Ipv4Address address) const {
-  const ViewpointFib& fib = viewpoint_fib(viewpoint);
-  const net::FlatFib::Leaf* leaf = fib.fib.lookup(address);
-  if (leaf == nullptr) return std::nullopt;
-  const Resolution& resolution = fib.values[leaf->value];
-  if (resolution.route == nullptr || resolution.pop == kNoPop) return std::nullopt;
-  return resolution.pop;
-}
-
-std::uint64_t VnsNetwork::viewpoint_fib_generation(PopId viewpoint) const noexcept {
-  return fibs_.at(viewpoint)->generation.load(std::memory_order_acquire);
-}
-
-std::uint64_t VnsNetwork::viewpoint_delta_cursor(PopId viewpoint) const noexcept {
-  return fibs_.at(viewpoint)->delta_cursor.load(std::memory_order_relaxed);
-}
-
-std::optional<PopId> VnsNetwork::egress_pop_stale(PopId viewpoint,
-                                                 net::Ipv4Address address) const noexcept {
-  // Serving-mode probe: answer from whatever FIB is currently published,
-  // stale or not, and never refresh.  Touches only the compiled arrays and
-  // the value slots; the route pointer is null-compared but not
-  // dereferenced, so a Loc-RIB entry freed since the compile cannot be
-  // followed.  The caller guarantees no concurrent refresh of this slot.
-  const ViewpointFib& slot = *fibs_.at(viewpoint);
-  if (slot.generation.load(std::memory_order_acquire) == 0) return std::nullopt;
-  const net::FlatFib::Leaf* leaf = slot.fib.lookup(address);
-  if (leaf == nullptr) return std::nullopt;
-  const Resolution& resolution = slot.values[leaf->value];
-  if (resolution.route == nullptr || resolution.pop == kNoPop) return std::nullopt;
-  return resolution.pop;
+  const net::FlatFib::Leaf* leaf = live_leaf(viewpoint, address);
+  if (leaf == nullptr || leaf->value == kNoPop) return std::nullopt;
+  return leaf->value;
 }
 
 RouteExplanation VnsNetwork::explain_route(PopId viewpoint, net::Ipv4Address address) const {
@@ -788,18 +749,18 @@ std::string RouteExplanation::json() const {
 
 std::optional<bgp::Route> VnsNetwork::local_exit_route(PopId pop, net::Ipv4Address address,
                                                        bool upstreams_only) const {
-  // LPM through the compiled FIB (same leaf set as known_prefixes_), so the
-  // probe campaigns' "exit locally" path shares the data-plane fast path.
-  const net::FlatFib::Leaf* leaf = viewpoint_fib(pop).fib.lookup(address);
+  // LPM through the published FIB (same leaf set as known_prefixes_), so
+  // the probe campaigns' "exit locally" path shares the data-plane fast path.
+  const net::FlatFib::Leaf* leaf = live_leaf(pop, address);
   if (leaf == nullptr) return std::nullopt;
-  const std::optional<net::Ipv4Prefix> prefix{leaf->prefix};
+  const net::Ipv4Prefix prefix = leaf->prefix;
   const auto& site = pops_.at(pop);
   std::optional<bgp::Route> best;
   const bgp::DecisionContext ctx{site.routers[0], &fabric_.igp()};
   const auto only_kind = upstreams_only ? std::optional{bgp::NeighborKind::kUpstream}
                                         : std::nullopt;
   for (const auto router : site.routers) {
-    auto candidate = fabric_.router(router).best_local_exit(*prefix, only_kind);
+    auto candidate = fabric_.router(router).best_local_exit(prefix, only_kind);
     if (!candidate) continue;
     if (!best || bgp::prefer(*candidate, *best, ctx)) best = std::move(candidate);
   }

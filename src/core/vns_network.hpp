@@ -21,11 +21,11 @@
 //     in ingress selection.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -112,10 +112,10 @@ struct VnsConfig {
   std::size_t stream_flush_prefixes = 16384;
 
   /// Incremental FIB refresh threshold: when the fraction of known prefixes
-  /// dirtied since the last compile exceeds this, the lazy rebuild falls
-  /// back to a full DIR-16-8-8 recompile instead of patching (past that
-  /// point a patch touches most of the arrays anyway and the per-delta
-  /// bookkeeping loses).  Negative disables patching entirely (always full
+  /// dirtied since a FIB copy was last brought up to date exceeds this, the
+  /// publish falls back to a full DIR-16-8-8 recompile instead of patching
+  /// (past that point a patch touches most of the arrays anyway and the
+  /// per-delta bookkeeping loses).  Negative disables patching entirely (always full
   /// compile) — the equivalence fuzz uses that as its reference world.
   double fib_patch_max_dirty_fraction = 0.25;
 
@@ -262,6 +262,12 @@ class VnsNetwork {
   [[nodiscard]] const VnsConfig& config() const noexcept { return config_; }
 
   // --- routing queries ---------------------------------------------------------
+  // route_at, egress_pop and local_exit_route answer from the viewpoint FIB
+  // published at the end of the last run_to_convergence (after the route
+  // feed): one acquire load plus a FIB probe, no lock, no refresh.  Between
+  // a direct fabric mutation and its convergence they answer for the last
+  // converged state; before the first publish every address is unrouted.
+
   /// The PoP whose city is geographically closest to a point (what the RR
   /// computes from the GeoIP-reported location).
   [[nodiscard]] PopId geo_closest_pop(const geo::GeoPoint& where) const noexcept;
@@ -269,33 +275,13 @@ class VnsNetwork {
   /// Longest-prefix-match over everything VNS has a route for.
   [[nodiscard]] std::optional<net::Ipv4Prefix> match_prefix(net::Ipv4Address address) const;
 
-  /// The route installed at `viewpoint`'s primary router for an address
-  /// (LPM), or nullptr when unrouted.
+  /// The route installed at `viewpoint`'s primary router for the published
+  /// FIB's longest match of an address, or nullptr when unrouted (no
+  /// fallback to a shorter routed prefix).
   [[nodiscard]] const bgp::Route* route_at(PopId viewpoint, net::Ipv4Address address) const;
 
   /// Egress PoP chosen at `viewpoint` for an address.
   [[nodiscard]] std::optional<PopId> egress_pop(PopId viewpoint, net::Ipv4Address address) const;
-
-  // --- serving-mode observability (serve::Engine) ----------------------------
-  /// The fabric generation `viewpoint`'s compiled FIB currently answers for
-  /// (0 = never compiled).  Lock-free; comparing against
-  /// fabric().rib_generation() tells whether the next fresh query will have
-  /// to patch/rebuild.
-  [[nodiscard]] std::uint64_t viewpoint_fib_generation(PopId viewpoint) const noexcept;
-  /// Position in the fabric's RIB-delta log up to which `viewpoint`'s FIB
-  /// has applied deltas.  Lock-free; the serve engine derives its
-  /// freshness-lag metric from how far this cursor trails the log head.
-  [[nodiscard]] std::uint64_t viewpoint_delta_cursor(PopId viewpoint) const noexcept;
-  /// Serving-mode probe: answers from `viewpoint`'s *currently compiled* FIB
-  /// without checking freshness or refreshing — never touches fabric RIB
-  /// state, so it is safe while the control plane is mutating, when the
-  /// regular egress_pop would have to refresh against in-flux RIBs.  May
-  /// serve the last published (stale) answer; nullopt when the viewpoint was
-  /// never compiled or holds no route.  Caller contract (the serve engine's
-  /// world gate enforces it): no concurrent *refresh* of the same viewpoint —
-  /// stale probes and fresh queries must not overlap on a mutating slot.
-  [[nodiscard]] std::optional<PopId> egress_pop_stale(PopId viewpoint,
-                                                     net::Ipv4Address address) const noexcept;
 
   /// Full provenance of the egress choice at `viewpoint` for an address:
   /// chosen egress PoP, the RFC-4271 rung that picked it (the geo local-pref
@@ -395,41 +381,37 @@ class VnsNetwork {
   }
 
   // --- compiled data plane ----------------------------------------------------
-  /// Payload of one resolution-FIB leaf: the viewpoint router's best route
-  /// for the leaf prefix and its egress PoP, precomputed at compile time so
-  /// route_at/egress_pop are a single FIB probe.  `route` points into the
-  /// router's Loc-RIB (node-stable); any RIB mutation bumps the fabric
-  /// generation and retires this FIB before the pointer can dangle.
-  struct Resolution {
-    const bgp::Route* route = nullptr;
-    PopId pop = kNoPop;
-  };
-  /// One viewpoint's compiled FIB.  `generation` is the fabric
-  /// rib_generation() it was compiled from (0 = never); readers acquire it,
-  /// the rebuilder release-stores it after publishing fib/values, so
-  /// concurrent campaign threads either see a complete compile or take the
-  /// rebuild mutex themselves.
-  struct ViewpointFib {
-    std::atomic<std::uint64_t> generation{0};
+  /// One copy of a viewpoint's resolution FIB: a leaf per known prefix whose
+  /// value is the viewpoint router's egress PopId for it (kNoPop =
+  /// unrouted), plus the positions in the fabric's RIB-delta log and in
+  /// known_log_ up to which the copy is current.
+  struct FibCopy {
     net::FlatFib fib;
-    std::vector<Resolution> values;
-    /// RIB-delta protocol cursors: position in the fabric's delta log and in
-    /// known_log_ up to which this FIB is current.  Mutated only under
-    /// fib_mutex_; delta_cursor is atomic (relaxed) so the serve engine can
-    /// observe freshness lag without taking the rebuild mutex.
-    std::atomic<std::uint64_t> delta_cursor{0};
+    std::uint64_t delta_cursor = 0;
     std::size_t known_cursor = 0;
   };
-  /// Returns the viewpoint's FIB, refreshing it first if the fabric's
-  /// rib_generation() has moved since it was last built: patched in place
-  /// from the RIB-delta log when the dirty fraction is small, recompiled
-  /// from scratch otherwise.
-  [[nodiscard]] const ViewpointFib& viewpoint_fib(PopId viewpoint) const;
-  /// Recomputes the Resolution payload for one known prefix at a viewpoint.
-  [[nodiscard]] Resolution resolve_prefix(const bgp::Router& router,
-                                          const net::Ipv4Prefix& prefix) const;
-  /// Full from-scratch compile of one viewpoint FIB (under fib_mutex_).
-  void compile_viewpoint_fib(ViewpointFib& slot, const bgp::Router& router) const;
+  /// Two copies per viewpoint: readers probe `live`; a publish brings the
+  /// other copy up to date and swaps it in with one release store.  The
+  /// standby may be touched only once no reader can still hold it —
+  /// single-threaded callers and campaign pools never read during a
+  /// publish, and serve::Engine waits for its resolvers after each one.
+  struct ViewpointFib {
+    std::array<FibCopy, 2> copies;
+    std::atomic<const FibCopy*> live{nullptr};
+  };
+  /// The on-converged callback (installed by finish_streamed_feed): catches
+  /// every viewpoint's standby copy up from its cursors — patched from the
+  /// RIB-delta log when the dirty fraction is small, recompiled otherwise —
+  /// and makes it live.  No-op when neither the delta log nor known_log_
+  /// has moved since the last publish.
+  void publish_fibs();
+  /// Brings one copy up to the current RIB state of `router`.
+  void catch_up(FibCopy& copy, const bgp::Router& router);
+  /// Leaf value for one known prefix at a viewpoint router.
+  [[nodiscard]] PopId egress_of(const bgp::Router& router, const net::Ipv4Prefix& prefix) const;
+  /// Longest-match leaf of the viewpoint's live FIB, or nullptr.
+  [[nodiscard]] const net::FlatFib::Leaf* live_leaf(PopId viewpoint,
+                                                    net::Ipv4Address address) const;
 
   /// Reachability of neighbor AS `as` from every AS (lazily cached).
   struct NeighborReach {
@@ -451,9 +433,8 @@ class VnsNetwork {
   std::unordered_map<std::string, PopId, NameHash, std::equal_to<>> pop_by_name_;
   std::unordered_map<std::uint64_t, std::size_t> link_index_;  ///< pop_pair_key -> links_
 
-  /// Lazily compiled per-viewpoint FIBs (pure caches of fabric RIB state).
-  mutable std::vector<std::unique_ptr<ViewpointFib>> fibs_;
-  mutable std::mutex fib_mutex_;  ///< serializes rebuilds (rare; probes are lock-free)
+  /// Published per-viewpoint FIBs (pure caches of converged RIB state).
+  std::vector<std::unique_ptr<ViewpointFib>> fibs_;
 
   bool geo_enabled_ = false;
   topo::AsIndex us_centred_ltp_ = topo::kNoAs;

@@ -13,8 +13,8 @@
 // DESIGN.md §9 for the full trade-off).
 //
 // A FlatFib is a pure cache: it is compiled from a converged RIB snapshot
-// and, when the owner detects a stale generation, either *patched* in place
-// (`patch`: only the root slots / spill tables covered by the changed
+// and, when the owner's RIB-delta cursor falls behind, either *patched* in
+// place (`patch`: only the root slots / spill tables covered by the changed
 // prefixes are rewritten) or rebuilt from scratch.  Either way it never
 // answers differently from the trie it was compiled from (the equivalence
 // property is enforced by tests/test_fib.cpp and the FibPatch churn fuzz).

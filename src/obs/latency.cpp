@@ -19,12 +19,16 @@ void LatencySnapshot::merge(const LatencySnapshot& other) {
   total_ += other.total_;
 }
 
+std::uint64_t LatencySnapshot::rank_of(double q) const noexcept {
+  // 1-based; q=0 maps to the first sample.
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(total_))));
+}
+
 double LatencySnapshot::quantile(double q) const noexcept {
   if (total_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the answering sample, 1-based; q=0 maps to the first sample.
-  const auto rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total_))));
+  const std::uint64_t rank = rank_of(q);
   std::uint64_t seen = 0;
   for (std::size_t bucket = 0; bucket < counts_.size(); ++bucket) {
     seen += counts_[bucket];
@@ -33,20 +37,25 @@ double LatencySnapshot::quantile(double q) const noexcept {
   return LatencyRecorder::bucket_mid(counts_.size() - 1);
 }
 
+std::optional<double> LatencySnapshot::reported_quantile(double q) const noexcept {
+  if (total_ == 0 || total_ - rank_of(q) < kMinBeyond) return std::nullopt;
+  return quantile(q);
+}
+
 std::string LatencySnapshot::to_json(std::string_view unit) const {
   std::string out = "{\"count\":" + json_number(total_);
-  const auto field = [&](const char* name, double q) {
+  const auto field = [&](const char* name, std::optional<double> value) {
     out += ",\"";
     out += name;
     out += '_';
     out += unit;
-    out += "\":" + json_number(quantile(q));
+    out += "\":" + (value ? json_number(*value) : std::string{"null"});
   };
-  field("p50", 0.50);
-  field("p90", 0.90);
-  field("p99", 0.99);
-  field("p999", 0.999);
-  field("max", 1.0);
+  field("p50", reported_quantile(0.50));
+  field("p90", reported_quantile(0.90));
+  field("p99", reported_quantile(0.99));
+  field("p999", reported_quantile(0.999));
+  field("max", reported_max());
   out += '}';
   return out;
 }

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,15 +49,32 @@ class LatencySnapshot {
   /// true recorded value is bounded by 2^-(kPrecisionBits+1).
   [[nodiscard]] double quantile(double q) const noexcept;
 
+  /// Fewest samples that must rank above a quantile before it is reported:
+  /// a tail read off a handful of samples is one sample, not a percentile.
+  static constexpr std::uint64_t kMinBeyond = 10;
+
+  /// quantile(q) when at least kMinBeyond samples rank above it, else
+  /// nullopt (always nullopt when empty).
+  [[nodiscard]] std::optional<double> reported_quantile(double q) const noexcept;
+  /// quantile(1.0) — the largest sample, an observation rather than a tail
+  /// estimate — or nullopt when empty.
+  [[nodiscard]] std::optional<double> reported_max() const noexcept {
+    return empty() ? std::nullopt : std::optional{quantile(1.0)};
+  }
+
   /// `{"count":N,"p50_<unit>":...,"p90_<unit>":...,"p99_<unit>":...,
   /// "p999_<unit>":...,"max_<unit>":...}` — the fixed percentile ladder
-  /// every heartbeat and slo block emits.  `unit` names the recorded
-  /// quantity ("ns", "batches").
+  /// every heartbeat and slo block emits.  Each percentile follows
+  /// reported_quantile and is `null` when too few samples back it; max
+  /// follows reported_max.  `unit` names the recorded quantity ("ns", "us").
   [[nodiscard]] std::string to_json(std::string_view unit) const;
 
   friend bool operator==(const LatencySnapshot&, const LatencySnapshot&) = default;
 
  private:
+  /// 1-based rank of the sample that answers quantile `q` (total_ > 0).
+  [[nodiscard]] std::uint64_t rank_of(double q) const noexcept;
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };

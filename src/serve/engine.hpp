@@ -2,100 +2,32 @@
 //
 // One long-lived run: a churn thread streams an UpdateTrace into the BGP
 // fabric, batch by batch, while N resolver threads concurrently probe the
-// lazily-patched viewpoint FIBs and record per-probe resolution latency into
-// HDR-style obs::LatencyRecorder shards.  Every sample is tagged with the
-// phase it observed — *steady* (the viewpoint FIB was current when probed)
-// or *converging* (the FIB was behind the fabric generation, or the probe
-// was served stale during a churn window) — so the run yields separate
-// p50/p99 ladders for quiet operation and for operation under churn, the
-// paper-style question "what does a route lookup cost while BGP is still
-// settling?".
+// viewpoint FIBs and record per-probe resolution latency into HDR-style
+// obs::LatencyRecorder shards.  Resolvers call egress_pop the whole time and
+// are never blocked: a lookup is one acquire load of the viewpoint's live
+// FIB plus a probe, and the FIB is published by the convergence that ends
+// each fault and each batch.  The run yields two ladders — resolve latency
+// (ns, every probe) and publish latency (µs, from a batch's first applied
+// event to the end of the convergence that made it live).
 //
-// Concurrency is mediated by a WorldGate with three phases.  During
-// *serving*, resolvers take the regular egress_pop path (which may patch or
-// rebuild a stale viewpoint FIB under the core's own rebuild mutex).  To
-// churn, the writer first *drains* those fresh probes — after which no FIB
-// refresh can be in flight — then mutates the fabric while resolvers fall
-// back to egress_pop_stale, which reads only the last-published compiled
-// arrays and never dereferences into the mutating RIBs.  Leaving the churn
-// window drains the stale probes symmetrically before fresh serving (and
-// thus patching) resumes, so a stale read can never race an in-place patch.
-//
-// Freshness lag rides on the PR-7 RIB-delta protocol: after each batch the
-// engine records the delta-log head; a viewpoint's lag is how many batch
-// ticks pass before its delta cursor (advanced by the lazy patch a fresh
-// probe triggers) reaches that head.  Lag has one-batch-tick resolution —
-// a viewpoint probed during the very next dwell reports a lag of 1.
+// A publish brings each viewpoint's standby FIB copy up to date before
+// swapping it in, and the standby is the copy the previous publish retired.
+// So after every call that can publish, the churn thread waits until each
+// resolver has finished the probe it was in (a per-resolver quiescent
+// counter, odd while a probe is in flight): from then on no reader holds a
+// retired copy, and the next publish may rewrite it.  A resolver sleeping
+// between paced probes is already quiescent.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <ostream>
 #include <string>
-#include <thread>
 
 #include "core/vns_network.hpp"
 #include "obs/latency.hpp"
 #include "serve/update_trace.hpp"
 
 namespace vns::serve {
-
-/// Writer-priority gate between the churn thread (exclusive fabric mutation)
-/// and the resolver threads.  Resolvers enter per probe and are told which
-/// probe path is currently safe; the churn thread flips phases, draining the
-/// opposite reader population at each flip.  All operations are seq_cst: the
-/// enter/drain handshake is a store-buffering pattern that weaker orders
-/// would break.
-class WorldGate {
- public:
-  enum class Mode { kFresh, kStale };
-
-  /// Resolver side: returns the probe mode to use, or nullopt once `stop`
-  /// became true while the gate was mid-flip.
-  std::optional<Mode> enter(const std::atomic<bool>& stop) noexcept {
-    for (;;) {
-      switch (phase_.load()) {
-        case kServing:
-          fresh_.fetch_add(1);
-          if (phase_.load() == kServing) return Mode::kFresh;
-          fresh_.fetch_sub(1);  // lost the race with begin_churn: back out
-          break;
-        case kChurning:
-          stale_.fetch_add(1);
-          if (phase_.load() == kChurning) return Mode::kStale;
-          stale_.fetch_sub(1);
-          break;
-        default:  // draining — the flip window is a handful of loads long
-          if (stop.load(std::memory_order_acquire)) return std::nullopt;
-          std::this_thread::yield();
-      }
-    }
-  }
-
-  void exit(Mode mode) noexcept { (mode == Mode::kFresh ? fresh_ : stale_).fetch_sub(1); }
-
-  /// Churn side: drains fresh probes (after which no viewpoint-FIB refresh
-  /// is in flight) and opens the stale-serving churn window.
-  void begin_churn() noexcept {
-    phase_.store(kDraining);
-    while (fresh_.load() != 0) std::this_thread::yield();
-    phase_.store(kChurning);
-  }
-
-  /// Drains stale probes before fresh serving (and thus patching) resumes.
-  void end_churn() noexcept {
-    phase_.store(kDraining);
-    while (stale_.load() != 0) std::this_thread::yield();
-    phase_.store(kServing);
-  }
-
- private:
-  enum Phase : unsigned { kServing, kDraining, kChurning };
-  std::atomic<unsigned> phase_{kServing};
-  std::atomic<std::uint32_t> fresh_{0}, stale_{0};
-};
 
 struct EngineConfig {
   int resolver_threads = 4;
@@ -109,33 +41,19 @@ struct EngineConfig {
   /// Emit a JSONL heartbeat every N batches to `heartbeat_out` (0 = off).
   std::uint64_t heartbeat_every = 4;
   std::ostream* heartbeat_out = nullptr;
-  /// Called after each churn batch has been applied and the fabric has
-  /// reconverged, while probes are still gated off the mutating slot — the
-  /// hook traffic engineering uses to refresh per-link utilization against
-  /// the post-churn routing (traffic::assign_load + PathModel::
-  /// set_utilization compose here).  Keep it cheap: it sits on the
-  /// serving loop's critical path.
-  std::function<void(std::uint64_t batch)> on_batch_applied;
 };
 
 /// Everything one serving run measured — the `slo` block of the bench JSON.
 struct SloReport {
-  obs::LatencySnapshot steady_ns;        ///< fresh probes, FIB already current
-  /// Fresh probes that found their viewpoint FIB behind the fabric — the
-  /// probes that pay (or wait out) the patch/rebuild.  Kept separate from
-  /// the stale ladder: stale probes are cheap by construction and would
-  /// drown the refresh tail at p99.
-  obs::LatencySnapshot converging_ns;
-  obs::LatencySnapshot stale_ns;         ///< stale-path service during churn
-  obs::LatencySnapshot freshness_lag;    ///< batch ticks from delta emission
-                                         ///  to the patch landing per viewpoint
+  obs::LatencySnapshot resolve_ns;  ///< every probe's egress_pop latency
+  /// Per batch with an applied event: µs from its first applied event to
+  /// the end of the convergence that published it.
+  obs::LatencySnapshot publish_us;
   std::uint64_t probes = 0;
-  std::uint64_t stale_served = 0;        ///< probes answered on the stale path
   std::uint64_t batches = 0;
   std::uint64_t events_applied = 0;
-  std::uint64_t fib_patches = 0;         ///< viewpoint refreshes served by patch
-  std::uint64_t fib_full_rebuilds = 0;   ///< ... by from-scratch compile
-  std::uint64_t max_freshness_lag = 0;   ///< worst batch-tick lag observed
+  std::uint64_t fib_patches = 0;        ///< FIB copies caught up by patch
+  std::uint64_t fib_full_rebuilds = 0;  ///< ... by from-scratch compile
   double wall_seconds = 0.0;
 
   /// One JSON object (no trailing newline) — embedded as `"slo": {...}`.
@@ -153,7 +71,9 @@ class Engine {
   SloReport run(const UpdateTrace& trace);
 
  private:
-  void apply(const UpdateEvent& event, std::uint64_t& applied);
+  /// Applies one event; true when it changed the network.  Fault events
+  /// converge (and so publish) before returning.
+  bool apply(const UpdateEvent& event);
 
   core::VnsNetwork& vns_;
   EngineConfig config_;

@@ -51,8 +51,8 @@ inline constexpr std::size_t kMatrixChunk = 4096;
 class Matrix {
  public:
   /// Aggregates the per-prefix populations into the directed PoP-to-PoP
-  /// demand shares.  Rides the compiled FIBs (thread-safe lazy rebuild), so
-  /// call it on a converged network.
+  /// demand shares.  Rides the published FIBs (read-only, safe from the
+  /// build's worker threads), so call it on a converged network.
   [[nodiscard]] static Matrix build(const core::VnsNetwork& vns,
                                     const topo::Internet& internet,
                                     const MatrixConfig& config);

@@ -1,6 +1,6 @@
 // Determinism contract of the sharded frontier convergence engine: for any
 // `set_threads` value the fabric must produce bit-identical Loc-RIBs, export
-// sinks, rib_generation sequences and trace JSONL.  The fuzz below replays
+// sinks, RIB-delta log heads and trace JSONL.  The fuzz below replays
 // 50+ seeded churn schedules (announce/withdraw/link/session/router faults)
 // at 1, 2, 4 and 8 threads and compares every observable byte-for-byte;
 // goldens pin the queue-depth stamp point and the engine statistics.
@@ -108,7 +108,7 @@ std::string dump_state(const Fabric& fabric) {
 struct ReplayObservation {
   std::string state;             ///< dump_state at the end of the schedule
   std::string trace_jsonl;       ///< full trace, byte-for-byte
-  std::vector<std::uint64_t> generations;  ///< rib_generation after each step
+  std::vector<std::uint64_t> delta_heads;  ///< RIB-delta log head after each step
   std::size_t delivered = 0;
   std::size_t dropped = 0;
 };
@@ -147,7 +147,7 @@ ReplayObservation replay_schedule(
   }
   fx.fabric.run_to_convergence();
   if (on_converge) on_converge(fx.fabric);
-  obs.generations.push_back(fx.fabric.rib_generation());
+  obs.delta_heads.push_back(fx.fabric.rib_deltas_since(0).next_cursor);
 
   for (int step = 0; step < steps; ++step) {
     const std::uint32_t op = rng.next(8);
@@ -204,7 +204,7 @@ ReplayObservation replay_schedule(
       fx.fabric.run_to_convergence();
       if (on_converge) on_converge(fx.fabric);
     }
-    obs.generations.push_back(fx.fabric.rib_generation());
+    obs.delta_heads.push_back(fx.fabric.rib_deltas_since(0).next_cursor);
   }
 
   obs.state = dump_state(fx.fabric);
@@ -227,8 +227,8 @@ TEST(Convergence, ChurnSchedulesAreBitIdenticalAcrossThreadCounts) {
           << "Loc-RIB/export divergence at seed " << seed << ", threads " << threads;
       ASSERT_EQ(candidate.trace_jsonl, baseline.trace_jsonl)
           << "trace divergence at seed " << seed << ", threads " << threads;
-      ASSERT_EQ(candidate.generations, baseline.generations)
-          << "rib_generation divergence at seed " << seed << ", threads " << threads;
+      ASSERT_EQ(candidate.delta_heads, baseline.delta_heads)
+          << "RIB-delta head divergence at seed " << seed << ", threads " << threads;
       ASSERT_EQ(candidate.delivered, baseline.delivered) << "seed " << seed;
       ASSERT_EQ(candidate.dropped, baseline.dropped) << "seed " << seed;
     }

@@ -1,12 +1,13 @@
 // Tests for the compiled data plane (net::FlatFib): unit-level DIR-16-8-8
-// behaviour, FIB/trie longest-prefix-match equivalence, churn-safe
-// invalidation through Fabric::rib_generation(), concurrent lazy rebuilds
-// (the TSan target), and the GeoIP fast path.  The FIB is a pure cache —
-// every test here asserts it never answers differently from the trie + RIB
-// state it was compiled from.
+// behaviour, FIB/trie longest-prefix-match equivalence, viewpoint FIBs
+// published by every convergence (and never refreshed by a read), concurrent
+// reads of the published copies (the TSan target), and the GeoIP fast path.
+// The FIB is a pure cache — every test here asserts it never answers
+// differently from the trie + RIB state it was compiled from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <thread>
@@ -502,18 +503,72 @@ TEST(Fib, ResolutionMatchesTrieBeforeDuringAfterChurn) {
   expect_fib_matches_reference(vns, pool, "after restoration");
 }
 
-TEST(Fib, RibGenerationAdvancesOnEveryMutation) {
+/// FIB copies caught up so far (patched or recompiled), process-wide.
+std::uint64_t fib_refreshes() {
+  const auto snap = FlatFibMetrics::global().snapshot();
+  return snap.patches + snap.full_rebuilds;
+}
+
+TEST(Fib, LookupsNeverRefresh) {
   auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
   auto& vns = world->vns();
-  std::uint64_t generation = vns.fabric().rib_generation();
-  EXPECT_GT(generation, 0u);
+  vns.set_geo_routing(true);
+  const auto pool = make_probe_pool(*world, 4'096);
 
-  const auto expect_bumped = [&](const char* what) {
-    const std::uint64_t now = vns.fabric().rib_generation();
-    EXPECT_GT(now, generation) << what << " did not advance rib_generation()";
-    generation = now;
+  // A read sweep of every viewpoint — including the first reads after the
+  // geo flip and after a fault — compiles and patches nothing: the work
+  // happened inside the convergence that published the FIBs.
+  const auto sweep = [&] {
+    const auto before = FlatFibMetrics::global().snapshot();
+    std::size_t answered = 0;
+    for (PopId viewpoint = 0; viewpoint < vns.pops().size(); ++viewpoint) {
+      for (const Ipv4Address address : pool) {
+        answered += vns.egress_pop(viewpoint, address).has_value() ? 1 : 0;
+        (void)vns.route_at(viewpoint, address);
+        (void)vns.local_exit_route(viewpoint, address);
+      }
+    }
+    const auto after = FlatFibMetrics::global().snapshot();
+    EXPECT_EQ(after.patches, before.patches);
+    EXPECT_EQ(after.full_rebuilds, before.full_rebuilds);
+    EXPECT_GT(answered, 0u);
   };
+  sweep();
 
+  const PopId lon = *vns.find_pop("LON");
+  const std::uint64_t before_fault = fib_refreshes();
+  ASSERT_TRUE(vns.fail_upstream(lon, 0));
+  EXPECT_GT(fib_refreshes(), before_fault) << "the fault's convergence published nothing";
+  sweep();
+
+  // A convergence with nothing queued and nothing moved publishes nothing.
+  const std::uint64_t before_idle = fib_refreshes();
+  EXPECT_EQ(vns.fabric().run_to_convergence(), 0u);
+  EXPECT_EQ(fib_refreshes(), before_idle);
+}
+
+TEST(Fib, EveryConvergingMutatorPublishes) {
+  auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
+  auto& vns = world->vns();
+  // The GeoIP FIB compiles on its first lookup (the geo flip's); do it now so
+  // the refresh counters below count viewpoint FIBs only.
+  (void)world->geoip().lookup(Ipv4Address{0x0a000001u});
+  const auto pool = make_probe_pool(*world, 16'384);
+
+  // Override targets: prefixes whose hosts lead the probe slices, so every
+  // management edit is visible to the reference comparison.
+  const auto prefixes = world->internet().prefixes();
+  ASSERT_GT(prefixes.size(), 40u);
+  const Ipv4Prefix forced = prefixes[3].prefix;
+  const Ipv4Prefix exempted = prefixes[17].prefix;
+  const Ipv4Prefix queued = prefixes[29].prefix;
+  const Ipv4Prefix covering = prefixes[37].prefix;
+  ASSERT_LT(covering.length(), 32);
+  const Ipv4Prefix more_specific{covering.address(),
+                                 static_cast<std::uint8_t>(covering.length() + 1)};
+  const PopId syd = *vns.find_pop("SYD");
+  const PopId lon = *vns.find_pop("LON");
+  const PopId osl = *vns.find_pop("OSL");
   std::pair<PopId, PopId> long_haul{core::kNoPop, core::kNoPop};
   for (const auto& link : vns.links()) {
     if (link.long_haul) {
@@ -523,74 +578,113 @@ TEST(Fib, RibGenerationAdvancesOnEveryMutation) {
   }
   ASSERT_NE(long_haul.first, core::kNoPop);
 
-  ASSERT_TRUE(vns.fail_pop_link(long_haul.first, long_haul.second));
-  expect_bumped("fail_pop_link");
-  ASSERT_TRUE(vns.restore_pop_link(long_haul.first, long_haul.second));
-  expect_bumped("restore_pop_link");
-  vns.set_geo_routing(true);
-  expect_bumped("set_geo_routing(true)");
-  vns.set_geo_routing(false);
-  expect_bumped("set_geo_routing(false)");
-  const PopId lon = *vns.find_pop("LON");
-  ASSERT_TRUE(vns.fail_upstream(lon, 0));
-  expect_bumped("fail_upstream");
-  ASSERT_TRUE(vns.restore_upstream(lon, 0));
-  expect_bumped("restore_upstream");
+  struct Step {
+    const char* name;
+    std::function<void()> apply;
+  };
+  const std::vector<Step> steps = {
+      {"set_geo_routing(true)", [&] { vns.set_geo_routing(true); }},
+      {"force_exit", [&] { vns.force_exit(forced, syd); }},
+      {"exempt_prefix", [&] { vns.exempt_prefix(exempted); }},
+      {"apply_policy_changes",
+       [&] {
+         vns.force_exit(queued, syd, /*refresh_now=*/false);
+         vns.apply_policy_changes();
+       }},
+      {"add_static_more_specific", [&] { vns.add_static_more_specific(more_specific, lon); }},
+      {"clear_overrides", [&] { vns.clear_overrides(); }},
+      {"fail_pop_link", [&] { ASSERT_TRUE(vns.fail_pop_link(long_haul.first, long_haul.second)); }},
+      {"restore_pop_link",
+       [&] { ASSERT_TRUE(vns.restore_pop_link(long_haul.first, long_haul.second)); }},
+      {"fail_pop", [&] { vns.fail_pop(osl); }},
+      {"restore_pop", [&] { vns.restore_pop(osl); }},
+      {"fail_upstream", [&] { ASSERT_TRUE(vns.fail_upstream(lon, 0)); }},
+      {"restore_upstream", [&] { ASSERT_TRUE(vns.restore_upstream(lon, 0)); }},
+      {"set_geo_routing(false)", [&] { vns.set_geo_routing(false); }},
+  };
+
+  std::size_t stage = 0;
+  for (const Step& step : steps) {
+    const std::uint64_t head = vns.fabric().rib_deltas_since(0).next_cursor;
+    const std::size_t known = vns.known_prefix_log().size();
+    const std::uint64_t refreshes = fib_refreshes();
+    step.apply();
+    if (HasFatalFailure()) return;
+    // Publishing follows the one staleness signal: one catch-up per
+    // viewpoint when the delta log or the known-prefix log moved, none
+    // otherwise.
+    const bool moved = vns.fabric().rib_deltas_since(0).next_cursor != head ||
+                       vns.known_prefix_log().size() != known;
+    EXPECT_EQ(fib_refreshes() - refreshes, moved ? vns.pops().size() : 0u) << step.name;
+
+    std::vector<Ipv4Address> probes{forced.first_host(), exempted.first_host(),
+                                    queued.first_host(), more_specific.first_host()};
+    const auto window = slice(pool, stage++, 2'048);
+    probes.insert(probes.end(), window.begin(), window.end());
+    expect_fib_matches_reference(vns, probes, step.name);
+    if (HasFatalFailure()) return;
+  }
 }
 
-TEST(Fib, ResolutionNeverServesStaleStateAfterGenerationBump) {
+TEST(Fib, ResolutionNeverServesStaleStateAfterConvergence) {
   auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
   auto& vns = world->vns();
   vns.set_geo_routing(true);
   const PopId viewpoint = *vns.find_pop("AMS");
 
-  // Pick a probe whose pre-fault egress is a *remote* PoP we can fail.
-  Ipv4Address probe{};
+  // Pick a probe whose egress is a *remote* PoP we can fail.
+  Ipv4Prefix prefix{};
   PopId egress_before = core::kNoPop;
   for (const auto& info : world->internet().prefixes()) {
     const auto egress = vns.egress_pop(viewpoint, info.prefix.first_host());
-    if (egress.has_value() && *egress != viewpoint &&
-        vns.pop_of_router(vns.reflector()) != *egress) {
-      probe = info.prefix.first_host();
+    if (egress.has_value() && *egress != viewpoint) {
+      prefix = info.prefix;
       egress_before = *egress;
       break;
     }
   }
   ASSERT_NE(egress_before, core::kNoPop) << "no remotely-egressing prefix in the sample";
+  const Ipv4Address probe = prefix.first_host();
 
-  // Warm the viewpoint FIB, then record where we are.
-  const auto warm = vns.egress_pop(viewpoint, probe);
-  ASSERT_EQ(warm, egress_before);
-  const std::uint64_t generation_before = vns.fabric().rib_generation();
-  const std::uint64_t rebuilds_before = FlatFibMetrics::global().snapshot().rebuilds;
-
-  // Fault: the egress PoP goes dark.  The generation must move and the very
-  // next resolution must be computed from post-fault state — a stale FIB
-  // would still name the dead PoP.
+  // Fault: the egress PoP goes dark.  Its convergence publishes, so the
+  // very next resolution answers from post-fault state — a stale FIB would
+  // still name the dead PoP.
+  const std::uint64_t refreshes_before = fib_refreshes();
   vns.fail_pop(egress_before);
-  EXPECT_GT(vns.fabric().rib_generation(), generation_before);
+  EXPECT_GT(fib_refreshes(), refreshes_before) << "fail_pop published nothing";
   const auto egress_during = vns.egress_pop(viewpoint, probe);
-  const Reference want_during = reference_resolve(vns, viewpoint, probe);
-  EXPECT_EQ(egress_during, want_during.egress);
+  EXPECT_EQ(egress_during, reference_resolve(vns, viewpoint, probe).egress);
   if (egress_during.has_value()) {
     EXPECT_NE(*egress_during, egress_before);
   }
-  EXPECT_GT(FlatFibMetrics::global().snapshot().rebuilds, rebuilds_before)
-      << "resolution after a generation bump must recompile, not reuse";
 
   // Repair: resolution converges back to the pre-fault answer.
   vns.restore_pop(egress_before);
-  const auto egress_after = vns.egress_pop(viewpoint, probe);
-  EXPECT_EQ(egress_after, reference_resolve(vns, viewpoint, probe).egress);
-  EXPECT_EQ(egress_after, warm);
+  ASSERT_EQ(vns.egress_pop(viewpoint, probe), egress_before);
+
+  // A direct fabric mutation publishes nothing until its convergence:
+  // withdrawing the prefix everywhere leaves readers on the last converged
+  // answer, and run_to_convergence — called on the fabric, not through
+  // VnsNetwork — publishes the unrouted state.
+  const std::uint64_t refreshes_converged = fib_refreshes();
+  for (const auto& attachment : vns.attachments()) {
+    vns.fabric().withdraw(attachment.session, prefix);
+  }
+  EXPECT_EQ(vns.egress_pop(viewpoint, probe), egress_before);
+  EXPECT_EQ(fib_refreshes(), refreshes_converged);
+  vns.fabric().run_to_convergence();
+  EXPECT_FALSE(vns.egress_pop(viewpoint, probe).has_value());
+  EXPECT_EQ(vns.route_at(viewpoint, probe), nullptr);
+  EXPECT_EQ(vns.egress_pop(viewpoint, probe), reference_resolve(vns, viewpoint, probe).egress);
 }
 
-TEST(Fib, ConcurrentLazyRebuildIsRaceFree) {
+TEST(Fib, ConcurrentReadsOfPublishedFibsAreRaceFree) {
   auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
   auto& vns = world->vns();
 
-  // Invalidate every viewpoint FIB, then resolve concurrently: the first
-  // probes of each viewpoint race to recompile (TSan checks the publish).
+  // Publish a fresh generation of every viewpoint FIB, then resolve
+  // concurrently: readers share the live copies (TSan checks the publish
+  // happens-before every read).
   vns.set_geo_routing(true);
   const auto pool = make_probe_pool(*world, 2'048);
 
@@ -611,7 +705,7 @@ TEST(Fib, ConcurrentLazyRebuildIsRaceFree) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&vns, &pool, &got, t] {
-      // Stagger viewpoint order per thread so rebuilds collide.
+      // Stagger viewpoint order per thread so reads of one copy overlap.
       const auto viewpoints = static_cast<PopId>(vns.pops().size());
       for (PopId shift = 0; shift < viewpoints; ++shift) {
         const PopId viewpoint = (shift + static_cast<PopId>(t)) % viewpoints;

@@ -226,11 +226,12 @@ constexpr std::string_view kBenchMemoryKeys[] = {
 };
 
 /// Keys the serving-mode "slo" block must carry (--require-slo; enforced
-/// only for bench_slo_serving, whose record contract includes it).
+/// only for bench_slo_serving, whose record contract includes it).  A
+/// percentile key may hold null: ladders emit null for a quantile with
+/// fewer than ten samples beyond it.
 constexpr std::string_view kBenchSloKeys[] = {
-    "slo",          "steady",        "converging",        "freshness_lag",
-    "p50_ns",       "p99_ns",        "stale_served",      "fib_patches",
-    "fib_full_rebuilds", "max_freshness_lag_batches",
+    "slo",    "resolve", "publish",     "p50_ns",      "p99_ns",
+    "p50_us", "p99_us",  "fib_patches", "fib_full_rebuilds",
 };
 
 bool check_bench_record(const std::string& name, std::string_view content,

@@ -21,7 +21,6 @@
 // byte-identical for any --threads value; only the latency samples (wall
 // clock) differ run to run.
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -30,6 +29,7 @@
 #include "measure/workbench.hpp"
 #include "serve/engine.hpp"
 #include "serve/update_trace.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace vns;
@@ -57,11 +57,25 @@ void usage(std::ostream& out) {
          "                 [--dump-state FILE]\n";
 }
 
+/// Parses the flags; nullopt (usage, exit 2) on an unknown flag, a flag
+/// missing its value, or a number that is malformed or has trailing
+/// characters.
 std::optional<ServeArgs> parse(int argc, char** argv) {
   ServeArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    const auto number = [&]<typename T>(T& out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      const auto parsed = util::parse_number<T>(v);
+      if (!parsed) {
+        std::cerr << "vns_serve: malformed number '" << v << "' for " << arg << "\n";
+        return false;
+      }
+      out = *parsed;
+      return true;
+    };
     if (arg == "--scale") {
       const char* tier = next();
       if (tier == nullptr) return std::nullopt;
@@ -72,33 +86,19 @@ std::optional<ServeArgs> parse(int argc, char** argv) {
       }
       args.scale = *parsed;
     } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.seed = std::strtoull(v, nullptr, 10);
+      if (!number(args.seed)) return std::nullopt;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.threads = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!number(args.threads)) return std::nullopt;
     } else if (arg == "--duration") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.duration_s = std::strtod(v, nullptr);
+      if (!number(args.duration_s)) return std::nullopt;
     } else if (arg == "--qps") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.qps = std::strtod(v, nullptr);
+      if (!number(args.qps)) return std::nullopt;
     } else if (arg == "--batches") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.batches = std::strtoull(v, nullptr, 10);
+      if (!number(args.batches)) return std::nullopt;
     } else if (arg == "--events") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.events_per_batch = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!number(args.events_per_batch)) return std::nullopt;
     } else if (arg == "--heartbeat") {
-      const char* v = next();
-      if (v == nullptr) return std::nullopt;
-      args.heartbeat_every = std::strtoull(v, nullptr, 10);
+      if (!number(args.heartbeat_every)) return std::nullopt;
     } else if (arg == "--record") {
       const char* v = next();
       if (v == nullptr) return std::nullopt;
