@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   bench::begin_bench(args, "bench_ablation_repair",
                      "ablation: FEC vs relay retransmission (S2 discussion)");
   util::Rng rng{args.seed ^ 0xf1c5ULL};
-  const std::uint64_t packets = args.small ? 100000 : 400000;
+  const std::uint64_t packets = args.scale == topo::InternetScale::kSmall ? 100000 : 400000;
 
   struct Scenario {
     const char* name;

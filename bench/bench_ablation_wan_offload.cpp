@@ -270,6 +270,12 @@ int main(int argc, char** argv) {
   bench::metric("qoe_loss_after", qoe_after.mean_loss);
   bench::metric("qoe_rtt_before_ms", qoe_before.mean_rtt_ms);
   bench::metric("qoe_rtt_after_ms", qoe_after.mean_rtt_ms);
+  // Every circuit's utilization at the peak, before the offload.
+  for (std::size_t i = 0; i < vns.links().size(); ++i) {
+    const auto& link = vns.links()[i];
+    bench::metric("util_before." + vns.pops()[link.a].name + "-" + vns.pops()[link.b].name,
+                  before.link_utilization[i]);
+  }
 
   bench::finish_run(args, campaign_s);
   return 0;

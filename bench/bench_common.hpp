@@ -2,15 +2,14 @@
 //
 // Every bench binary regenerates one table or figure from the paper's
 // evaluation.  They accept:
-//   --small        tiny topology (CI smoke runs); alias for --scale small
-//   --scale S      world tier: small | paper (default) | full (10k ASes,
-//                  100k+ prefixes, full-table scale)
+//   --scale S      world tier: small (CI smoke runs) | paper (default) |
+//                  full (10k ASes, 100k+ prefixes, full-table scale) | xl
 //   --seed N       world seed (default 1)
 //   --days D       campaign length where applicable (scaled-down defaults)
 //   --threads N    campaign worker count (default: VNS_THREADS, then
 //                  hardware; results are bit-identical for any N)
 //   --json         additionally write BENCH_<name>.json with the run's
-//                  config, key metrics, wall-clock and work counters
+//                  config, key metrics, wall-clock and the metrics registry
 //   --trace        attach an obs::TraceSink to the fabric and write
 //                  TRACE_<name>.jsonl (metrics registry + fabric trace)
 // and print deterministic, diff-able text tables.
@@ -33,12 +32,9 @@
 #include "bgp/attr_table.hpp"
 #include "bgp/fabric.hpp"
 #include "measure/workbench.hpp"
-#include "net/flat_fib.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "traffic/metrics.hpp"
-#include "util/counters.hpp"
 #include "util/parse.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -75,7 +71,6 @@ namespace vns::bench {
 }
 
 struct BenchArgs {
-  bool small = false;  ///< kept as an alias for --scale small
   bool json = false;   ///< also emit BENCH_<name>.json
   bool trace = false;  ///< attach a TraceSink and emit TRACE_<name>.jsonl
   topo::InternetScale scale = topo::InternetScale::kPaper;
@@ -105,17 +100,13 @@ struct BenchArgs {
         if (!parsed) usage_error("malformed number '" + std::string{text} + "' for " + arg);
         out = *parsed;
       };
-      if (arg == "--small") {
-        args.small = true;
-        args.scale = topo::InternetScale::kSmall;
-      } else if (arg == "--scale") {
+      if (arg == "--scale") {
         const std::string_view tier = value();
         const auto parsed = topo::scale_from_string(tier);
         if (!parsed) {
           usage_error("unknown --scale '" + std::string{tier} + "' (valid: small|paper|full|xl)");
         }
         args.scale = *parsed;
-        args.small = (*parsed == topo::InternetScale::kSmall);
       } else if (arg == "--json") {
         args.json = true;
       } else if (arg == "--trace") {
@@ -131,7 +122,7 @@ struct BenchArgs {
       } else if (arg == "--offload-threshold") {
         number(args.offload_threshold);
       } else if (arg == "--help") {
-        std::cout << "flags: --scale {small,paper,full,xl} --small --seed N --days D "
+        std::cout << "flags: --scale {small,paper,full,xl} --seed N --days D "
                      "--threads N --offered-load MBPS --offload-threshold U "
                      "--json --trace\n";
         std::exit(0);
@@ -157,30 +148,10 @@ struct BenchArgs {
 
 // ---- machine-readable run record (--json) ----------------------------------
 
-[[nodiscard]] inline std::string json_escape(std::string_view text) {
-  return obs::json_escape(text);
-}
-
-[[nodiscard]] inline std::string json_value(bool value) { return value ? "true" : "false"; }
-template <typename T>
-  requires(std::is_integral_v<T> && !std::is_same_v<T, bool>)
-[[nodiscard]] std::string json_value(T value) {
-  return std::to_string(value);
-}
-[[nodiscard]] inline std::string json_value(double value) { return obs::json_number(value); }
-[[nodiscard]] inline std::string json_value(std::string_view value) {
-  return '"' + json_escape(value) + '"';
-}
-[[nodiscard]] inline std::string json_value(const char* value) {
-  return json_value(std::string_view{value});
-}
-[[nodiscard]] inline std::string json_value(const std::string& value) {
-  return json_value(std::string_view{value});
-}
-
 /// Per-process record of one bench run: the name, the resolved config and
-/// whichever key metrics the bench registers.  `finish_run` serializes it to
-/// `BENCH_<name>.json` when the bench ran with --json.
+/// whichever key metrics the bench registers.  `finish_run` serializes it,
+/// followed by the metrics registry's blocks, to `BENCH_<name>.json` when the
+/// bench ran with --json.
 class BenchRecord {
  public:
   [[nodiscard]] static BenchRecord& global() {
@@ -195,12 +166,12 @@ class BenchRecord {
 
   template <typename T>
   void config(std::string key, const T& value) {
-    config_.emplace_back(std::move(key), json_value(value));
+    config_.emplace_back(std::move(key), to_json(value));
   }
 
   template <typename T>
   void metric(std::string key, const T& value) {
-    metrics_.emplace_back(std::move(key), json_value(value));
+    metrics_.emplace_back(std::move(key), to_json(value));
   }
 
   /// Attaches a pre-rendered JSON object under a top-level key (after
@@ -219,10 +190,6 @@ class BenchRecord {
 
   void set_build_seconds(double seconds) { build_seconds_ = seconds; }
 
-  /// Route (prefix) count of the world, the denominator of
-  /// memory.rss_per_route (set by build_world).
-  void set_route_count(std::size_t count) { route_count_ = count; }
-
   /// `BENCH_fig9_video_loss.json` for `bench_fig9_video_loss`.
   [[nodiscard]] std::string output_path() const {
     std::string_view stem = name_;
@@ -240,119 +207,53 @@ class BenchRecord {
   void write_json(std::ostream& out, double campaign_seconds, int threads) const {
     auto object = [&out](std::string_view key,
                          const std::vector<std::pair<std::string, std::string>>& fields) {
-      out << "  \"" << key << "\": {";
+      out << "  " << obs::json_string(key) << ": {";
       for (std::size_t i = 0; i < fields.size(); ++i) {
-        out << (i ? ", " : "") << '"' << json_escape(fields[i].first)
-            << "\": " << fields[i].second;
+        out << (i ? ", " : "") << obs::json_string(fields[i].first) << ": " << fields[i].second;
       }
       out << "}";
     };
     out << "{\n";
-    out << "  \"name\": " << json_value(name_) << ",\n";
-    out << "  \"paper_ref\": " << json_value(paper_ref_) << ",\n";
+    out << "  \"name\": " << obs::json_string(name_) << ",\n";
+    out << "  \"paper_ref\": " << obs::json_string(paper_ref_) << ",\n";
     // Run-identity header: enough to re-run the exact world (scale preset,
     // seed, thread count) plus when the artifact was produced.
-    std::vector<std::pair<std::string, std::string>> meta;
-    meta.emplace_back("scale", json_value(meta_scale_));
-    meta.emplace_back("threads", json_value(threads));
-    meta.emplace_back("seed", json_value(meta_seed_));
-    meta.emplace_back("timestamp", json_value(obs::iso8601_utc_now()));
-    object("meta", meta);
+    object("meta", {{"scale", obs::json_string(meta_scale_)},
+                    {"threads", to_json(threads)},
+                    {"seed", to_json(meta_seed_)},
+                    {"timestamp", obs::json_string(obs::iso8601_utc_now())}});
     out << ",\n";
-    out << "  \"threads\": " << threads << ",\n";
-    out << "  \"build_seconds\": " << json_value(build_seconds_) << ",\n";
-    out << "  \"campaign_seconds\": " << json_value(campaign_seconds) << ",\n";
+    out << "  \"build_seconds\": " << to_json(build_seconds_) << ",\n";
+    out << "  \"campaign_seconds\": " << to_json(campaign_seconds) << ",\n";
     object("config", config_);
     out << ",\n";
     object("metrics", metrics_);
-    out << ",\n";
     for (const auto& [key, raw] : blocks_) {
-      out << "  \"" << json_escape(key) << "\": " << raw << ",\n";
+      out << ",\n  " << obs::json_string(key) << ": " << raw;
     }
-    std::vector<std::pair<std::string, std::string>> counters;
-    for (const auto& [name, value] : util::Counters::global().snapshot()) {
-      counters.emplace_back(name, json_value(value));
-    }
-    object("counters", counters);
-    out << ",\n";
-    // Memory accounting: process peak RSS plus the control plane's interned
-    // path-attribute table, so route-memory regressions show up in every
-    // BENCH_*.json instead of only in the microbench.
-    const auto attr = bgp::AttrTable::global().stats();
-    std::vector<std::pair<std::string, std::string>> memory;
-    const std::uint64_t rss_kb = peak_rss_kb();
-    memory.emplace_back("peak_rss_kb", json_value(rss_kb));
-    // Scale-normalized footprint: peak RSS bytes per routed prefix.  Lets
-    // small / paper / full runs of the same bench compare directly and makes
-    // per-route memory regressions visible at every tier.
-    memory.emplace_back("rss_per_route",
-                        json_value(route_count_ ? static_cast<double>(rss_kb) * 1024.0 /
-                                                      static_cast<double>(route_count_)
-                                                : 0.0));
-    memory.emplace_back("routes", json_value(route_count_));
-    memory.emplace_back("attr_unique_live", json_value(attr.unique_live));
-    memory.emplace_back("attr_peak_unique", json_value(attr.peak_unique));
-    memory.emplace_back("attr_live_refs", json_value(attr.live_refs));
-    memory.emplace_back("attr_intern_calls", json_value(attr.intern_calls));
-    memory.emplace_back("attr_intern_hits", json_value(attr.intern_hits));
-    memory.emplace_back("attr_bytes_allocated", json_value(attr.bytes_allocated));
-    memory.emplace_back("attr_bytes_requested", json_value(attr.bytes_requested));
-    memory.emplace_back("attr_dedup_ratio", json_value(attr.dedup_ratio()));
-    // Compiled data plane: live footprint of every FlatFib (per-viewpoint
-    // resolution tables + the GeoIP fast path) and cumulative rebuild cost.
-    const auto fib = net::FlatFibMetrics::global().snapshot();
-    memory.emplace_back("fib",
-                        "{\"entries\": " + json_value(fib.entries) +
-                            ", \"spill_tables\": " + json_value(fib.spill_tables) +
-                            ", \"bytes\": " + json_value(fib.bytes) +
-                            ", \"rebuilds\": " + json_value(fib.rebuilds) +
-                            ", \"full_rebuilds\": " + json_value(fib.full_rebuilds) +
-                            ", \"patches\": " + json_value(fib.patches) +
-                            ", \"slots_touched\": " + json_value(fib.slots_touched) +
-                            ", \"build_seconds\": " + json_value(fib.build_seconds) +
-                            ", \"full_build_seconds\": " + json_value(fib.full_build_seconds) +
-                            ", \"patch_seconds\": " + json_value(fib.patch_seconds) + "}");
-    object("memory", memory);
-    out << ",\n";
-    // Control-plane convergence engine: cumulative across every fabric this
-    // process ran (world build plus any fault churn the bench injected).
-    const auto conv = bgp::ConvergenceMetrics::global().snapshot();
-    std::vector<std::pair<std::string, std::string>> convergence;
-    convergence.emplace_back("runs", json_value(conv.runs));
-    convergence.emplace_back("messages", json_value(conv.messages));
-    convergence.emplace_back("batches", json_value(conv.batches));
-    convergence.emplace_back("messages_per_sec", json_value(conv.messages_per_sec()));
-    convergence.emplace_back("shard_limit", json_value(conv.shard_limit));
-    convergence.emplace_back("shard_occupancy_mean", json_value(conv.mean_shard_occupancy()));
-    convergence.emplace_back("shard_occupancy_max", json_value(conv.max_shards_occupied));
-    convergence.emplace_back("max_batch_messages", json_value(conv.max_batch_messages));
-    convergence.emplace_back("seconds", json_value(conv.seconds));
-    object("convergence", convergence);
-    out << ",\n";
-    // Traffic engineering: the last load-assignment pass's utilization
-    // picture plus cumulative offload-policy moves.  All-zero for benches
-    // that never build a matrix — emitted unconditionally so the schema is
-    // stable (tools/json_check requires the block in every BENCH json).
-    const auto traffic = traffic::TrafficMetrics::global().snapshot();
-    std::vector<std::pair<std::string, std::string>> traffic_fields;
-    traffic_fields.emplace_back("assignments", json_value(traffic.assignments));
-    traffic_fields.emplace_back("links_loaded", json_value(traffic.links_loaded));
-    traffic_fields.emplace_back("util_p50", json_value(traffic.util_p50));
-    traffic_fields.emplace_back("util_max", json_value(traffic.util_max));
-    traffic_fields.emplace_back("offloaded_flows", json_value(traffic.offloaded_flows));
-    traffic_fields.emplace_back("rejected_flows", json_value(traffic.rejected_flows));
-    traffic_fields.emplace_back("wan_bytes_saved", json_value(traffic.wan_bytes_saved));
-    object("traffic", traffic_fields);
+    obs::MetricsRegistry::global().write_bench_blocks(out);
     out << "\n}\n";
   }
 
  private:
+  template <typename T>
+  [[nodiscard]] static std::string to_json(const T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return value ? "true" : "false";
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return obs::json_number(static_cast<double>(value));
+    } else if constexpr (std::is_signed_v<T>) {
+      return obs::json_number(static_cast<std::int64_t>(value));
+    } else {
+      return obs::json_number(static_cast<std::uint64_t>(value));
+    }
+  }
+
   std::string name_, paper_ref_;
   std::vector<std::pair<std::string, std::string>> config_, metrics_, blocks_;
   std::string meta_scale_ = "paper";
   std::uint64_t meta_seed_ = 0;
   double build_seconds_ = 0.0;
-  std::size_t route_count_ = 0;
 };
 
 /// Shorthand the benches use to register a key metric for the JSON record.
@@ -369,11 +270,15 @@ inline void begin_bench(const BenchArgs& args, const std::string& bench_name,
   auto& record = BenchRecord::global();
   record.begin(bench_name, paper_ref);
   record.set_run_meta(std::string{topo::to_string(args.scale)}, args.seed);
-  record.config("small", args.small);
-  record.config("scale", topo::to_string(args.scale));
-  record.config("seed", args.seed);
-  record.config("days", args.days);
-  record.config("threads", util::resolve_thread_count(args.threads));
+}
+
+/// The campaign length this run uses — `--days`, or the bench's default at
+/// the chosen scale — recorded as config.days.
+inline double campaign_days(const BenchArgs& args, double small_days, double default_days) {
+  double days = args.scale == topo::InternetScale::kSmall ? small_days : default_days;
+  if (args.days > 0) days = args.days;
+  BenchRecord::global().config("days", days);
+  return days;
 }
 
 /// Builds the workbench, timing and reporting construction.
@@ -389,11 +294,12 @@ inline std::unique_ptr<measure::Workbench> build_world(const BenchArgs& args,
             << world->internet().prefix_count() << " prefixes, "
             << world->vns().fabric().neighbor_count() << " eBGP sessions (built in "
             << util::format_double(elapsed, 1) << " s)\n\n";
-  util::Counters::global().set("bgp.messages_delivered",
-                               world->vns().fabric().messages_delivered());
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.set(obs::metric("counters.bgp.messages_delivered"),
+              world->vns().fabric().messages_delivered());
+  metrics.set(obs::metric("memory.routes"), world->internet().prefix_count());
   auto& record = BenchRecord::global();
   record.set_build_seconds(elapsed);
-  record.set_route_count(world->internet().prefix_count());
   record.config("ases", world->internet().as_count());
   record.config("prefixes", world->internet().prefix_count());
   record.config("ebgp_sessions", world->vns().fabric().neighbor_count());
@@ -406,7 +312,42 @@ inline void print_run_counters(std::ostream& out, const BenchArgs& args,
                                double campaign_seconds) {
   out << "\nthreads: " << util::resolve_thread_count(args.threads)
       << ", campaign wall-clock: " << util::format_double(campaign_seconds, 2) << " s\n";
-  util::Counters::global().print(out);
+  obs::MetricsRegistry::global().print_counters(out);
+}
+
+/// Samples into the registry what it cannot count as it happens: peak RSS,
+/// the AttrTable's live intern stats, the convergence shard limit and the
+/// ratios derived from other cells.  The one place these gauges are written,
+/// just before an export reads them.
+inline void sample_export_metrics() {
+  auto& metrics = obs::MetricsRegistry::global();
+  const std::uint64_t rss_kb = peak_rss_kb();
+  const std::uint64_t routes = metrics.count(obs::metric("memory.routes"));
+  metrics.set(obs::metric("memory.peak_rss_kb"), rss_kb);
+  // Scale-normalized footprint: peak RSS bytes per routed prefix, so runs of
+  // the same bench at different tiers compare directly.
+  metrics.set_real(obs::metric("memory.rss_per_route"),
+                   routes ? static_cast<double>(rss_kb) * 1024.0 / static_cast<double>(routes)
+                          : 0.0);
+  const auto attr = bgp::AttrTable::global().stats();
+  metrics.set(obs::metric("memory.attr_unique_live"), attr.unique_live);
+  metrics.set(obs::metric("memory.attr_peak_unique"), attr.peak_unique);
+  metrics.set(obs::metric("memory.attr_live_refs"), attr.live_refs);
+  metrics.set(obs::metric("memory.attr_intern_calls"), attr.intern_calls);
+  metrics.set(obs::metric("memory.attr_intern_hits"), attr.intern_hits);
+  metrics.set(obs::metric("memory.attr_bytes_allocated"), attr.bytes_allocated);
+  metrics.set(obs::metric("memory.attr_bytes_requested"), attr.bytes_requested);
+  metrics.set_real(obs::metric("memory.attr_dedup_ratio"), attr.dedup_ratio());
+  metrics.set(obs::metric("convergence.shard_limit"), bgp::kConvergenceShards);
+  const double seconds = metrics.value(obs::metric("convergence.seconds"));
+  const double batches = metrics.value(obs::metric("convergence.batches"));
+  metrics.set_real(obs::metric("convergence.messages_per_sec"),
+                   seconds > 0.0 ? metrics.value(obs::metric("convergence.messages")) / seconds
+                                 : 0.0);
+  metrics.set_real(obs::metric("convergence.shard_occupancy_mean"),
+                   batches > 0.0
+                       ? metrics.value(obs::metric("convergence.shard_occupancy_sum")) / batches
+                       : 0.0);
 }
 
 /// The standard bench epilogue: counter snapshot on stdout, plus the
@@ -415,6 +356,7 @@ inline void print_run_counters(std::ostream& out, const BenchArgs& args,
 /// --trace.
 inline void finish_run(const BenchArgs& args, double campaign_seconds) {
   print_run_counters(std::cout, args, campaign_seconds);
+  sample_export_metrics();
   if (args.json) {
     const auto path = BenchRecord::global().output_path();
     std::ofstream out{path};

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
   auto world = bench::build_world(args, "bench_fig10_loss_nature",
                                   "Fig. 10 (loss magnitude vs lossy 5s slots, Amsterdam)");
   auto& w = *world;
-  const double days = args.days > 0 ? args.days : (args.small ? 3.0 : 14.0);
+  const double days = bench::campaign_days(args, 3.0, 14.0);
   const double horizon = days * sim::kSecondsPerDay;
   const util::Rng rng{args.seed ^ 0xf16'10ULL};
 

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
   auto world = bench::build_world(args, "bench_fig11_lastmile_geography",
                                   "Fig. 11 (average last-mile loss by PoP and region)");
   auto& w = *world;
-  const double days = args.days > 0 ? args.days : (args.small ? 1.0 : 4.0);
+  const double days = bench::campaign_days(args, 1.0, 4.0);
   const double horizon = days * sim::kSecondsPerDay;
-  const int per_cell = args.small ? 12 : 50;
+  const int per_cell = args.scale == topo::InternetScale::kSmall ? 12 : 50;
   util::Rng rng{args.seed ^ 0xf16'11ULL};
   measure::Prober prober{rng.fork("trains")};
 

@@ -26,9 +26,9 @@ int main(int argc, char** argv) {
   auto world = bench::build_world(args, "bench_fig12_diurnal",
                                   "Fig. 12 (hourly loss frequency from SJS by type x region)");
   auto& w = *world;
-  const double days = args.days > 0 ? args.days : (args.small ? 2.0 : 6.0);
+  const double days = bench::campaign_days(args, 2.0, 6.0);
   const double horizon = days * sim::kSecondsPerDay;
-  const int per_cell = args.small ? 12 : 50;
+  const int per_cell = args.scale == topo::InternetScale::kSmall ? 12 : 50;
   const util::Rng rng{args.seed ^ 0xf16'12ULL};
 
   const auto hosts = w.select_last_mile_hosts(per_cell, args.seed ^ 0x605);

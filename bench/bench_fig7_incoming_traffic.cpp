@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     weights.push_back(node.type == topo::AsType::kCAHP ? 4.0 : 1.0);
   }
 
-  const int requests = args.small ? 6000 : 60000;
+  const int requests = args.scale == topo::InternetScale::kSmall ? 6000 : 60000;
   // counts[world region][pop region]
   std::vector<std::vector<int>> counts(geo::kWorldRegionCount,
                                        std::vector<int>(geo::kPopRegionCount, 0));

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   auto world = bench::build_world(args, "bench_fig9_video_loss",
                                   "Fig. 9 (video loss CCDF) + §5.1.1 jitter");
   auto& w = *world;
-  const double days = args.days > 0 ? args.days : (args.small ? 2.0 : 7.0);
+  const double days = bench::campaign_days(args, 2.0, 7.0);
   const double horizon = days * sim::kSecondsPerDay;
   const util::Rng rng{args.seed ^ 0xf16'9ULL};
 

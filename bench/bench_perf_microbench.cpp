@@ -4,7 +4,8 @@
 // convergence per announced prefix, and incremental FIB patching vs a full
 // recompile at full-table scale — plus the observability paths: fabric
 // convergence with tracing off vs on (the off variant is the zero-cost
-// claim's evidence), counter batching, trace-sink record, and provenance.
+// claim's evidence), the metrics registry's hot-path add, trace-sink record
+// and provenance.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -19,12 +20,12 @@
 #include "measure/workbench.hpp"
 #include "net/flat_fib.hpp"
 #include "net/prefix_trie.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/path_model.hpp"
 #include "topo/internet.hpp"
 #include "topo/segments.hpp"
 #include "util/arena.hpp"
-#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 using namespace vns;
@@ -622,26 +623,17 @@ void BM_FeedRoutesArena(benchmark::State& state) {
 BENCHMARK(BM_FeedRoutesHeap);
 BENCHMARK(BM_FeedRoutesArena);
 
-void BM_CountersGlobalAdd(benchmark::State& state) {
-  // One mutex round-trip per increment: what the hot loops used to do.
-  util::Counters counters;
+void BM_MetricsRegistryAdd(benchmark::State& state) {
+  // The hot-path update: one relaxed fetch_add on the metric's fixed cell,
+  // with no lock and no name lookup.
+  obs::MetricsRegistry registry;
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) counters.add("bench.increment", 1);
+    for (int i = 0; i < 64; ++i) registry.add(obs::metric("counters.measure.probes_sent"));
   }
+  benchmark::DoNotOptimize(registry.count(obs::metric("counters.measure.probes_sent")));
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
-BENCHMARK(BM_CountersGlobalAdd);
-
-void BM_CountersBatchAdd(benchmark::State& state) {
-  // Thread-local accumulation, one merge on scope exit: the Batch path.
-  util::Counters counters;
-  for (auto _ : state) {
-    util::Counters::Batch batch{counters};
-    for (int i = 0; i < 64; ++i) batch.add("bench.increment", 1);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_CountersBatchAdd);
+BENCHMARK(BM_MetricsRegistryAdd);
 
 }  // namespace
 

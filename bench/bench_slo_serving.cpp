@@ -31,7 +31,7 @@ serve::SloReport run_engine(core::VnsNetwork& vns, const serve::UpdateTrace& tra
                             const bench::BenchArgs& args, std::ostream* heartbeat_out) {
   serve::EngineConfig config;
   config.resolver_threads = util::resolve_thread_count(args.threads);
-  config.duration_s = args.small ? 0.0 : 0.5;
+  config.duration_s = args.scale == topo::InternetScale::kSmall ? 0.0 : 0.5;
   config.qps = 0.0;  // unthrottled: tails come from the FIB, not the pacer
   config.seed = args.seed;
   config.heartbeat_every = 4;
@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   serve::GenerateConfig gen;
   gen.seed = args.seed;
   gen.scale = std::string{topo::to_string(args.scale)};
-  gen.batches = args.small ? 12 : 24;
-  gen.events_per_batch = args.small ? 6 : 12;
+  gen.batches = args.scale == topo::InternetScale::kSmall ? 12 : 24;
+  gen.events_per_batch = args.scale == topo::InternetScale::kSmall ? 6 : 12;
   const serve::UpdateTrace trace = serve::generate_trace(w.vns(), gen);
   std::cout << "trace: " << trace.events.size() << " events over " << trace.batches
             << " batches (seed " << trace.seed << ")\n\n";

@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
   auto world = bench::build_world(args, "bench_table1_lastmile_astype",
                                   "Table 1 (avg loss from Amsterdam by AS type x region)");
   auto& w = *world;
-  const double days = args.days > 0 ? args.days : (args.small ? 1.0 : 5.0);
+  const double days = bench::campaign_days(args, 1.0, 5.0);
   const double horizon = days * sim::kSecondsPerDay;
-  const int per_cell = args.small ? 12 : 50;
+  const int per_cell = args.scale == topo::InternetScale::kSmall ? 12 : 50;
   util::Rng rng{args.seed ^ 0x7ab1e'1ULL};
   measure::Prober prober{rng.fork("trains")};
 

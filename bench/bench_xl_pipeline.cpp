@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
             << " s)\n";
   auto& record = bench::BenchRecord::global();
   record.set_build_seconds(build_seconds);
-  record.set_route_count(prefixes);
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.set(obs::metric("memory.routes"), prefixes);
   record.config("ases", w.internet().as_count());
   record.config("prefixes", prefixes);
   record.config("ebgp_sessions", w.vns().fabric().neighbor_count());
@@ -85,14 +86,15 @@ int main(int argc, char** argv) {
 
   const std::uint64_t steady_kb = current_rss_kb();
   const std::uint64_t peak_kb = bench::peak_rss_kb();
-  const auto fib = net::FlatFibMetrics::global().snapshot();
+  const double fib_compile_seconds = metrics.value(obs::metric("memory.fib.full_build_seconds"));
   const auto arena = w.vns().fabric().rib_arena_stats();
   const double peak_over_steady =
       steady_kb > 0 ? static_cast<double>(peak_kb) / static_cast<double>(steady_kb) : 0.0;
 
-  std::cout << "viewpoint FIBs: " << fib.entries << " entries, " << fib.spill_tables
+  std::cout << "viewpoint FIBs: " << metrics.count(obs::metric("memory.fib.entries"))
+            << " entries, " << metrics.count(obs::metric("memory.fib.spill_tables"))
             << " spill tables, cumulative full builds "
-            << util::format_double(fib.full_build_seconds, 2) << " s (inside the build)\n";
+            << util::format_double(fib_compile_seconds, 2) << " s (inside the build)\n";
   std::cout << "rib arena: " << arena.reserved_bytes / (1024 * 1024) << " MiB reserved, "
             << arena.live_bytes / (1024 * 1024) << " MiB live, " << arena.freelist_reuses
             << " freelist reuses across " << arena.allocations << " allocations\n";
@@ -101,7 +103,7 @@ int main(int argc, char** argv) {
 
   bench::metric("prefixes", prefixes);
   bench::metric("build_seconds", build_seconds);
-  bench::metric("fib_compile_seconds", fib.full_build_seconds);
+  bench::metric("fib_compile_seconds", fib_compile_seconds);
   bench::metric("steady_rss_kb", steady_kb);
   bench::metric("peak_over_steady", peak_over_steady);
   bench::metric("arena_reserved_bytes", arena.reserved_bytes);

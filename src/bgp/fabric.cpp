@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
+
 namespace vns::bgp {
 
 namespace {
@@ -16,12 +18,6 @@ bool has_ibgp_session(const Router& r, RouterId peer) {
   }
   return false;
 }
-
-/// Fixed shard fan-out of the convergence engine.  Deliberately independent
-/// of the thread knob: the shard walk order defines the frontier merge order,
-/// so changing it would change traces.  64 keeps shards busy well past the
-/// thread counts the contract is tested at (1..8) at negligible merge cost.
-constexpr std::size_t kConvergenceShards = 64;
 
 /// splitmix64 finisher over (address, length).  Deliberately not std::hash:
 /// the shard walk is part of the deterministic merge order, so the partition
@@ -36,41 +32,6 @@ std::size_t shard_of(const net::Ipv4Prefix& prefix) noexcept {
 }
 
 }  // namespace
-
-ConvergenceMetrics& ConvergenceMetrics::global() noexcept {
-  static ConvergenceMetrics instance;
-  return instance;
-}
-
-void ConvergenceMetrics::record(const ConvergenceStats& run) noexcept {
-  runs_.fetch_add(1, std::memory_order_relaxed);
-  messages_.fetch_add(run.messages, std::memory_order_relaxed);
-  batches_.fetch_add(run.batches, std::memory_order_relaxed);
-  occupied_shard_sum_.fetch_add(run.occupied_shard_sum, std::memory_order_relaxed);
-  nanos_.fetch_add(static_cast<std::uint64_t>(run.seconds * 1e9),
-                   std::memory_order_relaxed);
-  const auto raise = [](std::atomic<std::uint64_t>& slot, std::uint64_t value) {
-    std::uint64_t seen = slot.load(std::memory_order_relaxed);
-    while (seen < value &&
-           !slot.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
-    }
-  };
-  raise(max_batch_messages_, run.max_batch_messages);
-  raise(max_shards_occupied_, run.max_shards_occupied);
-}
-
-ConvergenceStats ConvergenceMetrics::snapshot() const noexcept {
-  ConvergenceStats snap;
-  snap.runs = runs_.load(std::memory_order_relaxed);
-  snap.messages = messages_.load(std::memory_order_relaxed);
-  snap.batches = batches_.load(std::memory_order_relaxed);
-  snap.shard_limit = kConvergenceShards;
-  snap.max_batch_messages = max_batch_messages_.load(std::memory_order_relaxed);
-  snap.max_shards_occupied = max_shards_occupied_.load(std::memory_order_relaxed);
-  snap.occupied_shard_sum = occupied_shard_sum_.load(std::memory_order_relaxed);
-  snap.seconds = static_cast<double>(nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  return snap;
-}
 
 void Fabric::trace_event(obs::TraceEventKind kind, std::uint32_t a, std::uint32_t b,
                          const net::Ipv4Prefix& prefix) {
@@ -551,7 +512,14 @@ std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
         std::max(convergence_stats_.max_shards_occupied, run.max_shards_occupied);
     convergence_stats_.occupied_shard_sum += run.occupied_shard_sum;
     convergence_stats_.seconds += run.seconds;
-    ConvergenceMetrics::global().record(run);
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.add(obs::metric("convergence.runs"));
+    metrics.add(obs::metric("convergence.messages"), run.messages);
+    metrics.add(obs::metric("convergence.batches"), run.batches);
+    metrics.add(obs::metric("convergence.shard_occupancy_sum"), run.occupied_shard_sum);
+    metrics.raise(obs::metric("convergence.shard_occupancy_max"), run.max_shards_occupied);
+    metrics.raise(obs::metric("convergence.max_batch_messages"), run.max_batch_messages);
+    metrics.add_seconds(obs::metric("convergence.seconds"), run.seconds);
   }
   if (on_converged_) on_converged_();
   return processed;

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -36,6 +35,12 @@
 #include "util/thread_pool.hpp"
 
 namespace vns::bgp {
+
+/// Fixed shard fan-out of the convergence engine.  Deliberately independent
+/// of the thread knob: the shard walk order defines the frontier merge order,
+/// so changing it would change traces.  64 keeps shards busy well past the
+/// thread counts the contract is tested at (1..8) at negligible merge cost.
+inline constexpr std::size_t kConvergenceShards = 64;
 
 /// Per-fabric cumulative convergence-engine statistics (reset never; the
 /// fabric is built once per world).  `shard_limit` is the fixed shard count —
@@ -59,28 +64,6 @@ struct ConvergenceStats {
                              static_cast<double>(batches)
                        : 0.0;
   }
-};
-
-/// Process-wide convergence accounting, mirroring net::FlatFibMetrics: every
-/// fabric's run_to_convergence adds its run here, so benches can surface a
-/// `convergence` block in BENCH_*.json without threading a fabric handle
-/// through the bench scaffolding.  Wall-clock only lives here and in
-/// ConvergenceStats — never in routing state — so determinism is unaffected.
-class ConvergenceMetrics {
- public:
-  static ConvergenceMetrics& global() noexcept;
-
-  void record(const ConvergenceStats& run) noexcept;
-  [[nodiscard]] ConvergenceStats snapshot() const noexcept;
-
- private:
-  std::atomic<std::uint64_t> runs_{0};
-  std::atomic<std::uint64_t> messages_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> max_batch_messages_{0};
-  std::atomic<std::uint64_t> max_shards_occupied_{0};
-  std::atomic<std::uint64_t> occupied_shard_sum_{0};
-  std::atomic<std::uint64_t> nanos_{0};
 };
 
 class Fabric {

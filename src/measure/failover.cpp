@@ -5,7 +5,6 @@
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/path_model.hpp"
-#include "util/counters.hpp"
 
 namespace vns::measure {
 namespace {
@@ -86,7 +85,6 @@ void drive(core::VnsNetwork& vns, std::span<const FaultEvent> schedule,
 FailoverReport run_failover_probes(core::VnsNetwork& vns, std::span<const FaultEvent> schedule,
                                    const FailoverConfig& config) {
   const obs::ScopedTimer span{obs::MetricsRegistry::global(), "campaign.failover_probes"};
-  util::Counters::Batch batch;  // per-sample adds batch; one merge at return
   FailoverReport report;
   report.pairs = probe_pairs(vns, config);
   auto phase_stats = [&report](FaultPhase phase) -> PhaseStats& {
@@ -115,8 +113,9 @@ FailoverReport run_failover_probes(core::VnsNetwork& vns, std::span<const FaultE
             ++stats.unreachable;
           }
           report.samples.push_back(sample);
-          batch.add("measure.failover_probes", 1);
         });
+  obs::MetricsRegistry::global().add(obs::metric("counters.measure.failover_probes"),
+                                     report.samples.size());
   return report;
 }
 
@@ -127,7 +126,6 @@ FailoverStreamReport run_failover_streams(core::VnsNetwork& vns,
                                           const media::VideoProfile& profile,
                                           const util::Rng& base) {
   const obs::ScopedTimer span{obs::MetricsRegistry::global(), "campaign.failover_streams"};
-  util::Counters::Batch batch;  // per-sample adds batch; one merge at return
   FailoverStreamReport report;
   auto phase_stats = [&report](FaultPhase phase) -> StreamPhaseStats& {
     switch (phase) {
@@ -143,6 +141,7 @@ FailoverStreamReport run_failover_streams(core::VnsNetwork& vns,
   // change cannot straddle a sample (the phase label stays truthful).
   session_config.duration_s = std::min(session_config.duration_s, config.probe_interval_s);
   std::uint64_t session_index = 0;  // event-order index -> RNG substream
+  std::uint64_t streamed = 0;
   drive(vns, schedule, config, pairs, report.faults_applied, report.repairs_applied,
         [&](double t, std::size_t pair_index, const std::pair<core::PopId, core::PopId>& pair,
             FaultPhase phase) {
@@ -164,8 +163,10 @@ FailoverStreamReport run_failover_streams(core::VnsNetwork& vns,
           const auto result =
               media::run_session(path, profile, /*start_s=*/0.0, session_config, session_rng);
           stats.loss_percent.add(result.loss_percent());
-          batch.add("measure.failover_sessions", 1);
+          ++streamed;
         });
+  obs::MetricsRegistry::global().add(obs::metric("counters.measure.failover_sessions"),
+                                     streamed);
   return report;
 }
 

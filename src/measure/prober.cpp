@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
-#include "util/counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vns::measure {
@@ -54,13 +53,14 @@ std::vector<TrainTaskResult> run_train_campaign(std::span<const TrainTask> tasks
     Prober prober{shard_rng.fork("trains")};
     TrainTaskResult& result = results[i];
     const double end = task.end_s > 0.0 ? task.end_s : task.horizon_s;
-    util::Counters::Batch batch;  // merges into the registry on scope exit
+    std::uint64_t probes = 0;
     for (double t = task.start_s; t < end; t += task.interval_s) {
       const auto train = prober.train(path, t, task.packets);
       result.rounds.push_back({t, train.lost});
       result.loss_fraction.add(train.loss_fraction());
-      batch.add("measure.probes_sent", static_cast<std::uint64_t>(train.sent));
+      probes += static_cast<std::uint64_t>(train.sent);
     }
+    obs::MetricsRegistry::global().add(obs::metric("counters.measure.probes_sent"), probes);
   });
   return results;
 }
@@ -94,8 +94,8 @@ VantageCampaignResult run_vantage_campaign(
     for (std::uint64_t v = begin; v < end; ++v) {
       partials[c].add(sample(v, chunk_rng));
     }
-    util::Counters::Batch batch;  // merges into the registry on scope exit
-    batch.add("measure.vantages_sampled", end - begin);
+    obs::MetricsRegistry::global().add(obs::metric("counters.measure.vantages_sampled"),
+                                       end - begin);
   });
   VantageCampaignResult result;
   result.vantages = count;

@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "sim/path_model.hpp"
 #include "sim/time.hpp"
-#include "util/counters.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vns::measure {
@@ -31,15 +30,17 @@ std::vector<StreamTaskResult> run_stream_campaign(std::span<const StreamTask> ta
     util::Rng session_rng = shard_rng.fork("sessions");
     StreamTaskResult& result = results[i];
     const double end = task.end_s > 0.0 ? task.end_s : task.horizon_s;
-    util::Counters::Batch batch;  // merges into the registry on scope exit
+    std::uint64_t slots = 0;
     for (double t = task.start_s; t < end; t += task.interval_s) {
       auto stats = media::run_session(path, task.profile, t, task.session, session_rng);
       result.loss_percent.add(stats.loss_percent());
       result.jitter_ms.add(stats.jitter_ms);
-      batch.add("measure.sessions_streamed", 1);
-      batch.add("measure.slots_analyzed", stats.slot_packets.size());
+      slots += stats.slot_packets.size();
       result.sessions.push_back(std::move(stats));
     }
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.add(obs::metric("counters.measure.sessions_streamed"), result.sessions.size());
+    metrics.add(obs::metric("counters.measure.slots_analyzed"), slots);
   });
   return results;
 }

@@ -1,11 +1,13 @@
 #include "net/flat_fib.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <numeric>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace vns::net {
@@ -19,59 +21,18 @@ std::atomic<int> g_compile_threads{0};
 /// saves; the serial path is used regardless of the thread knob.
 constexpr std::size_t kParallelCompileThreshold = 4096;
 
+/// Moves the registry's live-footprint cells from one state of an instance
+/// to another: a compile moves from empty, a patch from its pre-patch state
+/// and a release back to empty.  The unsigned differences wrap, so a
+/// shrinking move subtracts.
+void move_footprint(const FlatFibStats& from, const FlatFibStats& to) noexcept {
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.add(obs::metric("memory.fib.entries"), to.entries - from.entries);
+  metrics.add(obs::metric("memory.fib.spill_tables"), to.spill_tables - from.spill_tables);
+  metrics.add(obs::metric("memory.fib.bytes"), to.bytes - from.bytes);
+}
+
 }  // namespace
-
-FlatFibMetrics& FlatFibMetrics::global() noexcept {
-  static FlatFibMetrics instance;
-  return instance;
-}
-
-void FlatFibMetrics::record_build(const FlatFibStats& stats) noexcept {
-  full_rebuilds_.fetch_add(1, std::memory_order_relaxed);
-  entries_.fetch_add(stats.entries, std::memory_order_relaxed);
-  spill_tables_.fetch_add(stats.spill_tables, std::memory_order_relaxed);
-  bytes_.fetch_add(stats.bytes, std::memory_order_relaxed);
-  full_build_nanos_.fetch_add(static_cast<std::uint64_t>(stats.build_seconds * 1e9),
-                              std::memory_order_relaxed);
-}
-
-void FlatFibMetrics::record_patch(const FlatFibStats& released,
-                                  const FlatFibStats& acquired,
-                                  std::uint64_t slots_touched, double seconds) noexcept {
-  patches_.fetch_add(1, std::memory_order_relaxed);
-  slots_touched_.fetch_add(slots_touched, std::memory_order_relaxed);
-  // Patches only grow an instance, so each delta below is non-negative; the
-  // arithmetic is still written as wrapping add-of-difference to stay exact.
-  entries_.fetch_add(acquired.entries - released.entries, std::memory_order_relaxed);
-  spill_tables_.fetch_add(acquired.spill_tables - released.spill_tables,
-                          std::memory_order_relaxed);
-  bytes_.fetch_add(acquired.bytes - released.bytes, std::memory_order_relaxed);
-  patch_nanos_.fetch_add(static_cast<std::uint64_t>(seconds * 1e9),
-                         std::memory_order_relaxed);
-}
-
-void FlatFibMetrics::release(const FlatFibStats& stats) noexcept {
-  entries_.fetch_sub(stats.entries, std::memory_order_relaxed);
-  spill_tables_.fetch_sub(stats.spill_tables, std::memory_order_relaxed);
-  bytes_.fetch_sub(stats.bytes, std::memory_order_relaxed);
-}
-
-FlatFibMetrics::Snapshot FlatFibMetrics::snapshot() const noexcept {
-  Snapshot snap;
-  snap.full_rebuilds = full_rebuilds_.load(std::memory_order_relaxed);
-  snap.patches = patches_.load(std::memory_order_relaxed);
-  snap.rebuilds = snap.full_rebuilds + snap.patches;
-  snap.slots_touched = slots_touched_.load(std::memory_order_relaxed);
-  snap.entries = entries_.load(std::memory_order_relaxed);
-  snap.spill_tables = spill_tables_.load(std::memory_order_relaxed);
-  snap.bytes = bytes_.load(std::memory_order_relaxed);
-  snap.full_build_seconds =
-      static_cast<double>(full_build_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  snap.patch_seconds =
-      static_cast<double>(patch_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  snap.build_seconds = snap.full_build_seconds + snap.patch_seconds;
-  return snap;
-}
 
 void FlatFib::set_compile_threads(int threads) noexcept {
   g_compile_threads.store(threads, std::memory_order_relaxed);
@@ -137,7 +98,7 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
 
 void FlatFib::release_footprint() noexcept {
   if (stats_.entries != 0 || stats_.spill_tables != 0 || stats_.bytes != 0) {
-    FlatFibMetrics::global().release(stats_);
+    move_footprint(stats_, FlatFibStats{});
     stats_ = FlatFibStats{};
   }
 }
@@ -248,7 +209,10 @@ void FlatFib::finish_compile() {
                  exact_.capacity() * sizeof(std::uint32_t);
   stats_.build_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  FlatFibMetrics::global().record_build(stats_);
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.add(obs::metric("memory.fib.full_rebuilds"));
+  metrics.add_seconds(obs::metric("memory.fib.full_build_seconds"), stats_.build_seconds);
+  move_footprint(FlatFibStats{}, stats_);
 }
 
 void FlatFib::compile_shards(const std::vector<std::uint32_t>& order, unsigned threads) {
@@ -470,7 +434,11 @@ FlatFib::PatchStats FlatFib::patch(std::span<const Leaf> deltas) {
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   stats_.build_seconds += seconds;
-  FlatFibMetrics::global().record_patch(released, stats_, result.slots_touched, seconds);
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.add(obs::metric("memory.fib.patches"));
+  metrics.add(obs::metric("memory.fib.slots_touched"), result.slots_touched);
+  metrics.add_seconds(obs::metric("memory.fib.patch_seconds"), seconds);
+  move_footprint(released, stats_);
   return result;
 }
 

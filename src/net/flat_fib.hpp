@@ -21,7 +21,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -41,47 +40,9 @@ struct FlatFibStats {
   double build_seconds = 0.0;    ///< wall-clock cost of this compile
 };
 
-/// Process-wide FIB accounting, mirroring bgp::AttrTable::global(): live
-/// footprint of every compiled FlatFib plus monotonic rebuild counters.
-/// Benches surface a snapshot in the BENCH_*.json memory object.
-class FlatFibMetrics {
- public:
-  struct Snapshot {
-    std::uint64_t rebuilds = 0;       ///< full_rebuilds + patches (total refreshes)
-    std::uint64_t full_rebuilds = 0;  ///< from-scratch compiles since process start
-    std::uint64_t patches = 0;        ///< in-place patch() refreshes
-    std::uint64_t slots_touched = 0;  ///< slot writes performed by patches
-    std::uint64_t entries = 0;        ///< live leaves across live instances
-    std::uint64_t spill_tables = 0;   ///< live spill tables
-    std::uint64_t bytes = 0;          ///< live compiled bytes
-    double build_seconds = 0.0;       ///< full_build_seconds + patch_seconds
-    double full_build_seconds = 0.0;  ///< wall-clock spent in from-scratch compiles
-    double patch_seconds = 0.0;       ///< wall-clock spent in patch() refreshes
-  };
-
-  static FlatFibMetrics& global() noexcept;
-
-  void record_build(const FlatFibStats& stats) noexcept;
-  /// Accounts one in-place patch: footprint moves from `released` to
-  /// `acquired` (patches only grow an instance, never shrink it).
-  void record_patch(const FlatFibStats& released, const FlatFibStats& acquired,
-                    std::uint64_t slots_touched, double seconds) noexcept;
-  void release(const FlatFibStats& stats) noexcept;
-  [[nodiscard]] Snapshot snapshot() const noexcept;
-
- private:
-  std::atomic<std::uint64_t> full_rebuilds_{0};
-  std::atomic<std::uint64_t> patches_{0};
-  std::atomic<std::uint64_t> slots_touched_{0};
-  std::atomic<std::uint64_t> entries_{0};
-  std::atomic<std::uint64_t> spill_tables_{0};
-  std::atomic<std::uint64_t> bytes_{0};
-  std::atomic<std::uint64_t> full_build_nanos_{0};
-  std::atomic<std::uint64_t> patch_nanos_{0};
-};
-
 /// DIR-16-8-8 compiled longest-prefix-match table.  Move-only; the live
-/// footprint is registered with FlatFibMetrics for the instance's lifetime.
+/// footprint is counted in the metrics registry's memory.fib cells for the
+/// instance's lifetime.
 class FlatFib {
  public:
   /// One compiled entry: the stored prefix and the caller's payload index.

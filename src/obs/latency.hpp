@@ -1,6 +1,5 @@
 // LatencyRecorder: HDR-style log-bucketed latency histograms for the serving
-// path, built for one purpose MetricsRegistry's fixed-linear-bin histograms
-// cannot serve — capturing nanosecond-scale resolution-latency tails under
+// path — capturing nanosecond-scale resolution-latency tails under
 // concurrent load without a mutex per observe.
 //
 // Bucketing: values below 2^kPrecisionBits land in exact unit buckets; above

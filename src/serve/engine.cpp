@@ -9,8 +9,8 @@
 #include <thread>
 #include <vector>
 
-#include "net/flat_fib.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 
 namespace vns::serve {
 
@@ -118,7 +118,12 @@ SloReport Engine::run(const UpdateTrace& trace) {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> probes{0};
 
-  const auto fib0 = net::FlatFibMetrics::global().snapshot();
+  // FIB refreshes this run caused, read from the registry's cumulative cells.
+  const auto& metrics = obs::MetricsRegistry::global();
+  constexpr obs::Metric kPatches = obs::metric("memory.fib.patches");
+  constexpr obs::Metric kFullRebuilds = obs::metric("memory.fib.full_rebuilds");
+  const std::uint64_t patches0 = metrics.count(kPatches);
+  const std::uint64_t full_rebuilds0 = metrics.count(kFullRebuilds);
   const auto wall0 = Clock::now();
 
   std::vector<std::thread> resolvers;
@@ -199,16 +204,15 @@ SloReport Engine::run(const UpdateTrace& trace) {
     converged();
     if (config_.heartbeat_out != nullptr && config_.heartbeat_every != 0 &&
         (tick + 1) % config_.heartbeat_every == 0) {
-      const auto fib = net::FlatFibMetrics::global().snapshot();
       const auto resolved = resolve.snapshot();
       *config_.heartbeat_out
           << "{\"type\":\"slo_heartbeat\",\"batch\":" << obs::json_number(tick)
           << ",\"resolve\":" << resolved.to_json("ns")
           << ",\"publish\":" << publish.snapshot().to_json("us")
           << ",\"probes\":" << obs::json_number(resolved.total())
-          << ",\"fib_patches\":" << obs::json_number(fib.patches - fib0.patches)
+          << ",\"fib_patches\":" << obs::json_number(metrics.count(kPatches) - patches0)
           << ",\"fib_full_rebuilds\":"
-          << obs::json_number(fib.full_rebuilds - fib0.full_rebuilds) << "}\n";
+          << obs::json_number(metrics.count(kFullRebuilds) - full_rebuilds0) << "}\n";
     }
     std::this_thread::sleep_for(dwell);
   }
@@ -216,12 +220,11 @@ SloReport Engine::run(const UpdateTrace& trace) {
   stop.store(true, std::memory_order_release);
   for (auto& worker : resolvers) worker.join();
 
-  const auto fib1 = net::FlatFibMetrics::global().snapshot();
   report.resolve_ns = resolve.snapshot();
   report.publish_us = publish.snapshot();
   report.probes = probes.load(std::memory_order_relaxed);
-  report.fib_patches = fib1.patches - fib0.patches;
-  report.fib_full_rebuilds = fib1.full_rebuilds - fib0.full_rebuilds;
+  report.fib_patches = metrics.count(kPatches) - patches0;
+  report.fib_full_rebuilds = metrics.count(kFullRebuilds) - full_rebuilds0;
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - wall0).count();
   return report;

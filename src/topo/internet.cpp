@@ -97,7 +97,7 @@ InternetConfig InternetConfig::preset(InternetScale scale, std::uint64_t seed) {
   config.scale = scale;
   switch (scale) {
     case InternetScale::kSmall:
-      // The bench `--small` world (WorkbenchConfig::small delegates here).
+      // The bench `--scale small` world (WorkbenchConfig::small delegates here).
       config.ltp_count = 6;
       config.stp_count = 40;
       config.cahp_count = 80;

@@ -58,8 +58,8 @@ struct InternetConfig {
   /// The tier this config was derived from (informational; preset() sets it).
   InternetScale scale = InternetScale::kPaper;
 
-  /// Canonical size tiers.  kPaper keeps the defaults above; kSmall matches
-  /// the bench `--small` world; kFull grows to ~10.4k ASes originating
+  /// Canonical size tiers.  kPaper keeps the defaults above; kSmall is the
+  /// bench `--scale small` world; kFull grows to ~10.4k ASes originating
   /// ~107k prefixes with a mixed /16–/24 length distribution, exercising the
   /// FlatFib spill tables and the streamed memory-bounded generation path.
   [[nodiscard]] static InternetConfig preset(InternetScale scale, std::uint64_t seed = 1);

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "obs/metrics.hpp"
-#include "traffic/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace vns::traffic {
@@ -106,19 +104,12 @@ LoadSnapshot assign_load(const core::VnsNetwork& vns, const Matrix& matrix, doub
           ? 0.0
           : *std::max_element(snap.link_utilization.begin(), snap.link_utilization.end());
 
-  if (config.publish_gauges) {
-    auto& registry = obs::MetricsRegistry::global();
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      registry.gauge_set("traffic.util." + vns.pop(links[i].a).name + "-" +
-                             vns.pop(links[i].b).name,
-                         snap.link_utilization[i]);
-    }
-    registry.gauge_set("traffic.unrouted_mbps", snap.unrouted_mbps);
-  }
-  if (config.record_metrics) {
-    TrafficMetrics::global().record_assignment(snap.links_loaded, snap.util_p50,
-                                               snap.util_max);
-  }
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.add(obs::metric("traffic.assignments"));
+  metrics.set(obs::metric("traffic.links_loaded"), snap.links_loaded);
+  metrics.set_real(obs::metric("traffic.util_p50"), snap.util_p50);
+  metrics.set_real(obs::metric("traffic.util_max"), snap.util_max);
+  metrics.set_real(obs::metric("traffic.unrouted_mbps"), snap.unrouted_mbps);
   return snap;
 }
 

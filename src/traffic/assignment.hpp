@@ -48,16 +48,13 @@ struct AssignmentConfig {
   /// SegmentProfile::util_saturation anyway, this only bounds the reported
   /// gauge values under absurd overload.
   double utilization_cap = 64.0;
-  /// Publish per-link "traffic.util.<A>-<B>" gauges to the global registry.
-  bool publish_gauges = true;
-  /// Record the pass summary with TrafficMetrics::global().
-  bool record_metrics = true;
 };
 
 /// Routes `matrix` demand at time t over the overlay and returns the load
 /// picture.  Egressing demand additionally lands on the egress PoP's
 /// upstream transit attachments, split evenly (the overlay's outbound WAN
-/// ports).  Pure function of (vns, matrix, t, config).
+/// ports).  Deterministic in (vns, matrix, t, config); the pass's summary
+/// is also recorded in the metrics registry's traffic block.
 [[nodiscard]] LoadSnapshot assign_load(const core::VnsNetwork& vns, const Matrix& matrix,
                                        double t, const AssignmentConfig& config = {});
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "traffic/metrics.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace vns::traffic {
@@ -147,10 +147,10 @@ OffloadReport OffloadPolicy::evaluate(const core::VnsNetwork& vns, const Matrix&
           : *std::max_element(snapshot.link_utilization.begin(),
                               snapshot.link_utilization.end());
 
-  if (config_.record_metrics) {
-    TrafficMetrics::global().record_offload(report.offloaded_flows, report.rejected_flows,
-                                            report.wan_bytes_saved);
-  }
+  auto& metrics = obs::MetricsRegistry::global();
+  metrics.add(obs::metric("traffic.offloaded_flows"), report.offloaded_flows);
+  metrics.add(obs::metric("traffic.rejected_flows"), report.rejected_flows);
+  metrics.add_real(obs::metric("traffic.wan_bytes_saved"), report.wan_bytes_saved);
   return report;
 }
 

@@ -45,8 +45,6 @@ struct OffloadConfig {
   double flow_mbps = 4.0;
   /// Accounting window for wan_bytes_saved (seconds at the moved rate).
   double window_s = 3600.0;
-  /// Record cumulative moves with TrafficMetrics::global().
-  bool record_metrics = true;
 };
 
 /// One evaluated (ingress, egress) candidate on an overloaded circuit.
@@ -79,7 +77,8 @@ class OffloadPolicy {
   /// circuit is back at `target`.  Mutates `snapshot` in place: moved load
   /// leaves every link of the cell's internal path and lands on the
   /// *ingress* PoP's upstream ports instead.  Deterministic: fixed
-  /// evaluation order, no RNG.
+  /// evaluation order, no RNG.  The report's flow moves and WAN bytes saved
+  /// accumulate in the metrics registry's traffic block.
   [[nodiscard]] OffloadReport evaluate(const core::VnsNetwork& vns, const Matrix& matrix,
                                        double t, LoadSnapshot& snapshot) const;
 

@@ -22,6 +22,7 @@
 
 #include "bgp/fabric.hpp"
 #include "net/flat_fib.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace vns {
@@ -355,7 +356,13 @@ TEST(Convergence, BudgetDiagnosticsSurviveSharding) {
 }
 
 TEST(Convergence, EngineStatsAccountShardsAndMessages) {
-  const auto global_before = bgp::ConvergenceMetrics::global().snapshot();
+  const auto& metrics = obs::MetricsRegistry::global();
+  constexpr auto runs = obs::metric("convergence.runs");
+  constexpr auto messages = obs::metric("convergence.messages");
+  constexpr auto batches = obs::metric("convergence.batches");
+  const std::uint64_t runs_before = metrics.count(runs);
+  const std::uint64_t messages_before = metrics.count(messages);
+  const std::uint64_t batches_before = metrics.count(batches);
   ConvergenceFixture fx{2, /*traced=*/false};
   for (std::uint32_t p = 0; p < 12; ++p) {
     fx.fabric.announce(fx.uplinks[p % fx.uplinks.size()],
@@ -380,11 +387,12 @@ TEST(Convergence, EngineStatsAccountShardsAndMessages) {
   EXPECT_LE(stats.mean_shard_occupancy(), 64.0);
   EXPECT_GE(stats.messages_per_sec(), 0.0);
 
-  // The process-global registry absorbed this fabric's run.
-  const auto global_after = bgp::ConvergenceMetrics::global().snapshot();
-  EXPECT_GE(global_after.runs, global_before.runs + 1);
-  EXPECT_GE(global_after.messages, global_before.messages + processed);
-  EXPECT_EQ(global_after.shard_limit, 64u);
+  // The process-wide registry absorbed this fabric's run.
+  EXPECT_EQ(metrics.count(runs) - runs_before, stats.runs);
+  EXPECT_EQ(metrics.count(messages) - messages_before, stats.messages);
+  EXPECT_EQ(metrics.count(batches) - batches_before, stats.batches);
+  EXPECT_GE(metrics.count(obs::metric("convergence.max_batch_messages")),
+            stats.max_batch_messages);
 }
 
 // ------------------------------------------- RIB-delta protocol ------------

@@ -21,6 +21,7 @@
 #include "measure/workbench.hpp"
 #include "net/flat_fib.hpp"
 #include "net/prefix_trie.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace vns {
@@ -28,9 +29,29 @@ namespace {
 
 using core::PopId;
 using net::FlatFib;
-using net::FlatFibMetrics;
 using net::Ipv4Address;
 using net::Ipv4Prefix;
+
+/// The registry's memory.fib cells, read together so tests can compare
+/// before/after deltas.
+struct FibCells {
+  std::uint64_t full_rebuilds = 0;
+  std::uint64_t patches = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t spill_tables = 0;
+  std::uint64_t bytes = 0;
+  double full_build_seconds = 0.0;
+};
+
+FibCells fib_cells() {
+  const auto& metrics = obs::MetricsRegistry::global();
+  return {metrics.count(obs::metric("memory.fib.full_rebuilds")),
+          metrics.count(obs::metric("memory.fib.patches")),
+          metrics.count(obs::metric("memory.fib.entries")),
+          metrics.count(obs::metric("memory.fib.spill_tables")),
+          metrics.count(obs::metric("memory.fib.bytes")),
+          metrics.value(obs::metric("memory.fib.full_build_seconds"))};
+}
 
 // ------------------------------------------------ FlatFib unit level --------
 
@@ -161,27 +182,27 @@ TEST(Fib, MetricsTrackLiveFootprintAndSurviveMoves) {
   ASSERT_TRUE(trie.insert(Ipv4Prefix::parse("203.0.113.0/24").value(), 2));
   ASSERT_TRUE(trie.insert(Ipv4Prefix::parse("192.0.2.128/25").value(), 3));
 
-  const auto before = FlatFibMetrics::global().snapshot();
+  const auto before = fib_cells();
   {
     FlatFib fib = FlatFib::compile_from(
         trie, [](const Ipv4Prefix&, const std::uint32_t& value) { return value; });
-    const auto during = FlatFibMetrics::global().snapshot();
-    EXPECT_EQ(during.rebuilds, before.rebuilds + 1);
+    const auto during = fib_cells();
+    EXPECT_EQ(during.full_rebuilds, before.full_rebuilds + 1);
     EXPECT_EQ(during.entries, before.entries + trie.size());
     EXPECT_GE(during.spill_tables, before.spill_tables + 1);
     EXPECT_GT(during.bytes, before.bytes);
-    EXPECT_GE(during.build_seconds, before.build_seconds);
+    EXPECT_GE(during.full_build_seconds, before.full_build_seconds);
 
     // Moving the instance must not double-count or early-release.
     FlatFib moved = std::move(fib);
     FlatFib assigned;
     assigned = std::move(moved);
-    EXPECT_EQ(FlatFibMetrics::global().snapshot().entries, during.entries);
+    EXPECT_EQ(fib_cells().entries, during.entries);
     EXPECT_NE(assigned.lookup(Ipv4Address{198, 51, 100, 7}), nullptr);
   }
-  const auto after = FlatFibMetrics::global().snapshot();
-  EXPECT_EQ(after.rebuilds, before.rebuilds + 1);  // rebuild count is monotonic
-  EXPECT_EQ(after.entries, before.entries);        // footprint fully released
+  const auto after = fib_cells();
+  EXPECT_EQ(after.full_rebuilds, before.full_rebuilds + 1);  // rebuild count is monotonic
+  EXPECT_EQ(after.entries, before.entries);                  // footprint fully released
   EXPECT_EQ(after.spill_tables, before.spill_tables);
   EXPECT_EQ(after.bytes, before.bytes);
 }
@@ -199,31 +220,31 @@ TEST(Fib, MetricsSurviveMoveAssignOverCompiledInstance) {
   ASSERT_TRUE(large.insert(Ipv4Prefix::parse("192.0.2.128/25").value(), 3));
   const auto map = [](const Ipv4Prefix&, const std::uint32_t& value) { return value; };
 
-  const auto before = FlatFibMetrics::global().snapshot();
+  const auto before = fib_cells();
   {
     FlatFib current = FlatFib::compile_from(small, map);
-    const auto first = FlatFibMetrics::global().snapshot();
-    EXPECT_EQ(first.rebuilds, before.rebuilds + 1);
+    const auto first = fib_cells();
+    EXPECT_EQ(first.full_rebuilds, before.full_rebuilds + 1);
     EXPECT_EQ(first.entries, before.entries + small.size());
 
     // The re-publish: a fresh compile replaces the live one.
     current = FlatFib::compile_from(large, map);
-    const auto second = FlatFibMetrics::global().snapshot();
-    EXPECT_EQ(second.rebuilds, before.rebuilds + 2);  // one compile, one bump
+    const auto second = fib_cells();
+    EXPECT_EQ(second.full_rebuilds, before.full_rebuilds + 2);  // one compile, one bump
     EXPECT_EQ(second.entries, before.entries + large.size())
         << "overwritten instance's footprint leaked or double-released";
     EXPECT_NE(current.lookup(Ipv4Address{203, 0, 113, 9}), nullptr);
 
     // Repeated re-publish never drifts.
     current = FlatFib::compile_from(large, map);
-    EXPECT_EQ(FlatFibMetrics::global().snapshot().entries,
+    EXPECT_EQ(fib_cells().entries,
               before.entries + large.size());
   }
-  const auto after = FlatFibMetrics::global().snapshot();
+  const auto after = fib_cells();
   EXPECT_EQ(after.entries, before.entries);
   EXPECT_EQ(after.spill_tables, before.spill_tables);
   EXPECT_EQ(after.bytes, before.bytes);
-  EXPECT_EQ(after.rebuilds, before.rebuilds + 3);
+  EXPECT_EQ(after.full_rebuilds, before.full_rebuilds + 3);
 }
 
 // ------------------------------------------------ FlatFib::patch ------------
@@ -505,7 +526,7 @@ TEST(Fib, ResolutionMatchesTrieBeforeDuringAfterChurn) {
 
 /// FIB copies caught up so far (patched or recompiled), process-wide.
 std::uint64_t fib_refreshes() {
-  const auto snap = FlatFibMetrics::global().snapshot();
+  const auto snap = fib_cells();
   return snap.patches + snap.full_rebuilds;
 }
 
@@ -519,7 +540,7 @@ TEST(Fib, LookupsNeverRefresh) {
   // geo flip and after a fault — compiles and patches nothing: the work
   // happened inside the convergence that published the FIBs.
   const auto sweep = [&] {
-    const auto before = FlatFibMetrics::global().snapshot();
+    const auto before = fib_cells();
     std::size_t answered = 0;
     for (PopId viewpoint = 0; viewpoint < vns.pops().size(); ++viewpoint) {
       for (const Ipv4Address address : pool) {
@@ -528,7 +549,7 @@ TEST(Fib, LookupsNeverRefresh) {
         (void)vns.local_exit_route(viewpoint, address);
       }
     }
-    const auto after = FlatFibMetrics::global().snapshot();
+    const auto after = fib_cells();
     EXPECT_EQ(after.patches, before.patches);
     EXPECT_EQ(after.full_rebuilds, before.full_rebuilds);
     EXPECT_GT(answered, 0u);
@@ -772,7 +793,7 @@ TEST(FibPatch, ViewpointPatchingMatchesAlwaysFullRebuild) {
 
   compare_worlds("initial convergence");
   if (HasFatalFailure()) return;
-  const auto before = FlatFibMetrics::global().snapshot();
+  const auto before = fib_cells();
 
   std::pair<PopId, PopId> long_haul{core::kNoPop, core::kNoPop};
   for (const auto& link : patched.links()) {
@@ -818,7 +839,7 @@ TEST(FibPatch, ViewpointPatchingMatchesAlwaysFullRebuild) {
   if (HasFatalFailure()) return;
 
   // The patching world must actually have taken the incremental path.
-  const auto after = FlatFibMetrics::global().snapshot();
+  const auto after = fib_cells();
   EXPECT_GT(after.patches, before.patches)
       << "the threshold-1.0 world never patched: the incremental path is dead code";
 }
@@ -872,13 +893,13 @@ TEST(Fib, GeoIpIncrementalAddPatchesInsteadOfRecompiling) {
 
   // A post-compile add is served via patch(): the patches counter moves, the
   // full-rebuild counter does not.
-  const auto before = FlatFibMetrics::global().snapshot();
+  const auto before = fib_cells();
   db.add_with_report(Ipv4Prefix::parse("198.51.100.0/24").value(), geo::GeoPoint{59.91, 10.75},
                      geo::GeoPoint{59.91, 10.75}, geo::GeoIpErrorClass::kAccurate);
   const auto found = db.lookup(Ipv4Address{198, 51, 100, 7});
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(*found, (geo::GeoPoint{59.91, 10.75}));
-  const auto after = FlatFibMetrics::global().snapshot();
+  const auto after = fib_cells();
   EXPECT_EQ(after.patches, before.patches + 1);
   EXPECT_EQ(after.full_rebuilds, before.full_rebuilds);
 
@@ -889,7 +910,7 @@ TEST(Fib, GeoIpIncrementalAddPatchesInsteadOfRecompiling) {
   const auto overwritten = db.lookup(Ipv4Address{198, 51, 100, 7});
   ASSERT_TRUE(overwritten.has_value());
   EXPECT_EQ(*overwritten, (geo::GeoPoint{48.85, 2.35}));
-  const auto final_snap = FlatFibMetrics::global().snapshot();
+  const auto final_snap = fib_cells();
   EXPECT_EQ(final_snap.patches, after.patches);
   EXPECT_EQ(final_snap.full_rebuilds, after.full_rebuilds);
   EXPECT_EQ(db.lookup(Ipv4Address{198, 51, 100, 7}),

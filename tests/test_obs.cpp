@@ -1,6 +1,6 @@
 // Tests for vns::obs and the observability surfaces wired through the
-// stack: JSON primitives, the TraceSink ring buffer, the metrics registry,
-// counter batching, decision provenance (trace_decision / Router::explain /
+// stack: JSON primitives, the TraceSink ring buffer, the metrics registry
+// and its serializer, decision provenance (trace_decision / Router::explain /
 // VnsNetwork::explain_route), fabric trace determinism (including across
 // campaign --threads settings), and convergence timelines.
 #include <gtest/gtest.h>
@@ -15,7 +15,7 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/counters.hpp"
+#include "util/thread_pool.hpp"
 
 namespace vns {
 namespace {
@@ -129,62 +129,144 @@ TEST(TraceSink, SummaryTrailerReportsDropCounts) {
 
 // ------------------------------------------------------- metrics registry ---
 
-TEST(MetricsRegistry, CountersGaugesHistogramsSpans) {
+TEST(MetricsRegistry, CountersGaugesAndSpans) {
   obs::MetricsRegistry registry;
-  registry.counter_add("work.items", 3);
-  registry.counter_add("work.items", 2);
-  EXPECT_EQ(registry.counter("work.items"), 5u);
-  EXPECT_EQ(registry.counter("missing"), 0u);
+  constexpr auto probes = obs::metric("counters.measure.probes_sent");
+  registry.add(probes, 3);
+  registry.add(probes, 2);
+  EXPECT_EQ(registry.count(probes), 5u);
+  EXPECT_EQ(registry.count(obs::metric("counters.measure.slots_analyzed")), 0u);
 
-  registry.gauge_set("queue.depth", 17.0);
-  registry.gauge_set("queue.depth", 4.0);  // gauges overwrite
-  EXPECT_DOUBLE_EQ(registry.gauge("queue.depth"), 4.0);
+  constexpr auto links = obs::metric("traffic.links_loaded");
+  registry.set(links, 17);
+  registry.set(links, 4);  // gauges overwrite
+  EXPECT_EQ(registry.count(links), 4u);
+  constexpr auto widest = obs::metric("convergence.max_batch_messages");
+  registry.raise(widest, 9);
+  registry.raise(widest, 3);  // not a new maximum
+  EXPECT_EQ(registry.count(widest), 9u);
 
-  registry.histogram_observe("latency", 0.25, 0.0, 1.0, 10);
-  registry.histogram_observe("latency", 0.26);
-  bool found = false;
-  const auto histogram = registry.histogram("latency", &found);
-  ASSERT_TRUE(found);
-  EXPECT_DOUBLE_EQ(histogram.total(), 2.0);
-  // Consistent shapes on the clean path: the conflict counter stays zero.
-  EXPECT_EQ(registry.histogram_shape_conflicts(), 0u);
+  // Seconds accumulate as nanoseconds; real-valued cells hold doubles.
+  constexpr auto seconds = obs::metric("memory.fib.patch_seconds");
+  registry.add_seconds(seconds, 0.25);
+  registry.add_seconds(seconds, 0.5);
+  EXPECT_DOUBLE_EQ(registry.value(seconds), 0.75);
+  constexpr auto util = obs::metric("traffic.util_max");
+  registry.set_real(util, 0.9);
+  EXPECT_DOUBLE_EQ(registry.value(util), 0.9);
+  constexpr auto saved = obs::metric("traffic.wan_bytes_saved");
+  registry.add_real(saved, 1.5e9);
+  registry.add_real(saved, 0.5e9);
+  EXPECT_DOUBLE_EQ(registry.value(saved), 2.0e9);
 
   registry.span_record("phase.one", 0.5);
   ASSERT_EQ(registry.spans().size(), 1u);
   EXPECT_EQ(registry.spans()[0].name, "phase.one");
 
-  const auto jsonl = registry.to_jsonl();
-  EXPECT_NE(jsonl.find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"type\":\"gauge\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"type\":\"histogram\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"type\":\"span\""), std::string::npos);
-
-  registry.reset();
-  EXPECT_EQ(registry.counter("work.items"), 0u);
-  EXPECT_TRUE(registry.spans().empty());
+  std::ostringstream jsonl;
+  registry.write_jsonl(jsonl);
+  EXPECT_NE(jsonl.str().find("{\"type\":\"counter\",\"block\":\"counters\",\"name\":"
+                             "\"measure.probes_sent\",\"unit\":\"count\",\"value\":5}"),
+            std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"type\":\"gauge\""), std::string::npos);
+  EXPECT_NE(jsonl.str().find("{\"type\":\"span\",\"name\":\"phase.one\",\"seconds\":0.5}"),
+            std::string::npos);
 }
 
-TEST(MetricsRegistry, HistogramShapeConflictsAreCountedAndExported) {
+TEST(MetricsRegistry, CountersTrailerListsAddsAndSetsInKeyOrder) {
   obs::MetricsRegistry registry;
-  registry.histogram_observe("latency", 0.25, 0.0, 1.0, 10);
-  registry.histogram_observe("latency", 0.30, 0.0, 1.0, 10);  // same shape: fine
-  EXPECT_EQ(registry.histogram_shape_conflicts(), 0u);
+  constexpr auto slots = obs::metric("counters.measure.slots_analyzed");
+  constexpr auto probes = obs::metric("counters.measure.probes_sent");
+  constexpr auto delivered = obs::metric("counters.bgp.messages_delivered");
+  registry.add(slots, 2);
+  registry.add(probes, 1);
+  registry.add(slots, 3);
+  registry.set(delivered, 42);
+  EXPECT_EQ(registry.count(slots), 5u);
+  EXPECT_EQ(registry.count(obs::metric("counters.measure.vantages_sampled")), 0u);
 
-  // A mismatched shape keeps the original binning but must not vanish
-  // silently: the conflict counter records it and the JSONL trailer exports
-  // it so CI can assert it is zero.
-  registry.histogram_observe("latency", 0.35, 0.0, 2.0, 10);
-  registry.histogram_observe("latency", 0.40, 0.0, 1.0, 20);
-  EXPECT_EQ(registry.histogram_shape_conflicts(), 2u);
+  // Only the counters that moved are listed, sorted by key whatever order
+  // they moved in; an idle registry prints nothing.
+  std::ostringstream trailer;
+  registry.print_counters(trailer);
+  EXPECT_EQ(trailer.str(),
+            "counters:\n"
+            "  bgp.messages_delivered = 42\n"
+            "  measure.probes_sent = 1\n"
+            "  measure.slots_analyzed = 5\n");
+  std::ostringstream idle;
+  obs::MetricsRegistry{}.print_counters(idle);
+  EXPECT_EQ(idle.str(), "");
+}
 
-  const auto jsonl = registry.to_jsonl();
-  EXPECT_NE(jsonl.find("\"type\":\"registry_summary\""), std::string::npos);
-  EXPECT_NE(jsonl.find("\"histogram_shape_conflicts\":2"), std::string::npos);
+TEST(MetricsRegistry, CountersBlockIsSortedByKey) {
+  // The stdout trailer prints the counters block in table order; sorted keys
+  // keep it in the order readers and diffs of older outputs expect.
+  std::string_view previous;
+  for (const obs::MetricDef& def : obs::kMetrics) {
+    if (def.block != obs::Block::kCounters) continue;
+    EXPECT_LT(previous, def.key);
+    previous = def.key;
+  }
+}
 
-  registry.reset();
-  EXPECT_EQ(registry.histogram_shape_conflicts(), 0u);
-  EXPECT_NE(registry.to_jsonl().find("\"histogram_shape_conflicts\":0"),
-            std::string::npos);
+TEST(MetricsRegistry, ConcurrentAddsAreLossless) {
+  obs::MetricsRegistry registry;
+  constexpr auto probes = obs::metric("counters.measure.probes_sent");
+  constexpr auto saved = obs::metric("traffic.wan_bytes_saved");
+  constexpr auto widest = obs::metric("convergence.max_batch_messages");
+  util::ThreadPool pool{4};
+  pool.parallel_for(1000, [&](std::size_t i) {
+    registry.add(probes);
+    registry.add_real(saved, 0.5);
+    registry.raise(widest, i);
+  });
+  EXPECT_EQ(registry.count(probes), 1000u);
+  EXPECT_DOUBLE_EQ(registry.value(saved), 500.0);
+  EXPECT_EQ(registry.count(widest), 999u);
+}
+
+TEST(MetricsRegistry, SerializerWritesEveryMetricInItsBlock) {
+  // Give every cell a distinct value, then find each `"key": value` pair in
+  // the rendering of its own block.
+  obs::MetricsRegistry registry;
+  std::vector<std::string> expected(obs::kMetricCount);
+  for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+    const obs::Metric id{i};
+    const obs::Unit unit = obs::kMetrics[i].unit;
+    if (unit == obs::Unit::kSeconds) {
+      registry.add_seconds(id, static_cast<double>(i) + 0.5);
+      expected[i] = obs::json_number(static_cast<double>(i) + 0.5);
+    } else if (obs::is_real(unit)) {
+      registry.set_real(id, static_cast<double>(i) + 0.25);
+      expected[i] = obs::json_number(static_cast<double>(i) + 0.25);
+    } else {
+      registry.set(id, 1000 + i);
+      expected[i] = std::to_string(1000 + i);
+    }
+  }
+  const auto render = [&](obs::Block block) {
+    std::ostringstream out;
+    registry.write_block(out, block);
+    return out.str();
+  };
+  for (std::size_t i = 0; i < obs::kMetricCount; ++i) {
+    const obs::MetricDef& def = obs::kMetrics[i];
+    const std::string member = obs::json_string(def.key) + ": " + expected[i];
+    EXPECT_NE(render(def.block).find(member), std::string::npos)
+        << member << " missing from " << obs::block_path(def.block);
+  }
+  // memory.fib nests inside memory; the rest are top-level record members.
+  const std::string fib = render(obs::Block::kFib);
+  EXPECT_NE(render(obs::Block::kMemory).find("\"fib\": " + fib + "}"), std::string::npos);
+  std::ostringstream record;
+  registry.write_bench_blocks(record);
+  for (const auto block : {obs::Block::kCounters, obs::Block::kMemory, obs::Block::kConvergence,
+                           obs::Block::kTraffic}) {
+    const std::string member =
+        "\n  " + obs::json_string(obs::block_path(block)) + ": " + render(block);
+    EXPECT_NE(record.str().find(member), std::string::npos) << obs::block_path(block);
+  }
 }
 
 TEST(MetricsRegistry, ScopedTimerRecordsASpan) {
@@ -195,33 +277,6 @@ TEST(MetricsRegistry, ScopedTimerRecordsASpan) {
   ASSERT_EQ(registry.spans().size(), 1u);
   EXPECT_EQ(registry.spans()[0].name, "timed.block");
   EXPECT_GE(registry.spans()[0].seconds, 0.0);
-}
-
-// -------------------------------------------------------- counter batches ---
-
-TEST(CountersBatch, AccumulatesLocallyAndFlushesOnce) {
-  util::Counters counters;
-  {
-    util::Counters::Batch batch{counters};
-    batch.add("x", 2);
-    batch.add("x", 3);
-    batch.add("y");
-    EXPECT_EQ(batch.pending("x"), 5u);
-    // Nothing visible in the target until the batch flushes.
-    EXPECT_EQ(counters.value("x"), 0u);
-  }
-  EXPECT_EQ(counters.value("x"), 5u);
-  EXPECT_EQ(counters.value("y"), 1u);
-}
-
-TEST(CountersBatch, ExplicitFlushIsIdempotent) {
-  util::Counters counters;
-  util::Counters::Batch batch{counters};
-  batch.add("x", 7);
-  batch.flush();
-  batch.flush();
-  EXPECT_EQ(counters.value("x"), 7u);
-  EXPECT_EQ(batch.pending("x"), 0u);
 }
 
 // --------------------------------------------------- decision provenance ---

@@ -1,5 +1,5 @@
 // Tests for the parallel measurement engine: the thread pool, RNG
-// jump/substream sharding, the counters registry, and — the core contract —
+// jump/substream sharding, the campaign work counters, and — the core contract —
 // bit-identical campaign results regardless of thread count.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "measure/prober.hpp"
 #include "measure/workbench.hpp"
-#include "util/counters.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -137,31 +137,6 @@ TEST(Rng, SubstreamsAreMutuallyDisjoint) {
   EXPECT_LT(equal, 5);
 }
 
-// --------------------------------------------------------------- counters --
-
-TEST(Counters, AddSetSnapshotReset) {
-  util::Counters counters;
-  counters.add("b.second", 2);
-  counters.add("a.first", 1);
-  counters.add("b.second", 3);
-  counters.set("c.gauge", 42);
-  EXPECT_EQ(counters.value("b.second"), 5u);
-  EXPECT_EQ(counters.value("missing"), 0u);
-  const auto snapshot = counters.snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].first, "a.first");  // sorted by name
-  EXPECT_EQ(snapshot[2].second, 42u);
-  counters.reset();
-  EXPECT_TRUE(counters.snapshot().empty());
-}
-
-TEST(Counters, ConcurrentAddsAreLossless) {
-  util::Counters counters;
-  util::ThreadPool pool{4};
-  pool.parallel_for(1000, [&](std::size_t) { counters.add("hits", 1); });
-  EXPECT_EQ(counters.value("hits"), 1000u);
-}
-
 // --------------------------------------- campaign thread-count invariance --
 
 sim::SegmentProfile lossy_segment(int i) {
@@ -268,7 +243,9 @@ TEST(Campaign, SelectIngressIsSafeAndStableUnderConcurrency) {
 }
 
 TEST(Campaign, CountsProbesSent) {
-  util::Counters::global().reset();
+  const auto& metrics = obs::MetricsRegistry::global();
+  constexpr auto probes = obs::metric("counters.measure.probes_sent");
+  const std::uint64_t before = metrics.count(probes);
   std::vector<measure::TrainTask> tasks;
   measure::TrainTask task;
   task.segments = {lossy_segment(0)};
@@ -277,8 +254,7 @@ TEST(Campaign, CountsProbesSent) {
   task.packets = 50;
   tasks.push_back(std::move(task));
   (void)measure::run_train_campaign(tasks, util::Rng{1}, 2);
-  EXPECT_EQ(util::Counters::global().value("measure.probes_sent"), 6u * 50u);
-  util::Counters::global().reset();
+  EXPECT_EQ(metrics.count(probes) - before, 6u * 50u);
 }
 
 }  // namespace

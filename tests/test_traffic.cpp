@@ -10,10 +10,10 @@
 #include <vector>
 
 #include "measure/workbench.hpp"
+#include "obs/metrics.hpp"
 #include "sim/path_model.hpp"
 #include "traffic/assignment.hpp"
 #include "traffic/matrix.hpp"
-#include "traffic/metrics.hpp"
 #include "traffic/offload.hpp"
 
 namespace vns::traffic {
@@ -213,7 +213,7 @@ TEST(Traffic, OverloadSaturatesInsteadOfOverflowing) {
 Matrix overloaded_matrix(measure::Workbench& w, double target_util, double& t_out) {
   const auto pilot = Matrix::build(w.vns(), w.internet(), hot_config(100000.0));
   const double t = peak_time(pilot);
-  const auto snap = assign_load(w.vns(), pilot, t, {.publish_gauges = false, .record_metrics = false});
+  const auto snap = assign_load(w.vns(), pilot, t);
   double hottest = 0.0;
   for (std::size_t i = 0; i < w.vns().links().size(); ++i) {
     if (w.vns().links()[i].long_haul) hottest = std::max(hottest, snap.link_utilization[i]);
@@ -296,22 +296,40 @@ TEST(Traffic, OffloadHoldsFlowsBelowTheQoeFloor) {
 // --------------------------------------------------------------- metrics ----
 
 TEST(Traffic, MetricsSnapshotAccumulates) {
-  auto& metrics = TrafficMetrics::global();
-  metrics.reset();
-  metrics.record_assignment(7, 0.25, 0.9);
-  metrics.record_offload(12, 3, 1.5e9);
-  metrics.record_offload(5, 0, 0.5e9);
-  const auto snap = metrics.snapshot();
-  EXPECT_EQ(snap.assignments, 1u);
-  EXPECT_EQ(snap.links_loaded, 7u);
-  EXPECT_DOUBLE_EQ(snap.util_p50, 0.25);
-  EXPECT_DOUBLE_EQ(snap.util_max, 0.9);
-  EXPECT_EQ(snap.offloaded_flows, 17u);
-  EXPECT_EQ(snap.rejected_flows, 3u);
-  EXPECT_DOUBLE_EQ(snap.wan_bytes_saved, 2.0e9);
-  metrics.reset();
-  EXPECT_EQ(metrics.snapshot().assignments, 0u);
-  EXPECT_DOUBLE_EQ(metrics.snapshot().wan_bytes_saved, 0.0);
+  // Each assignment pass publishes its summary to the registry's traffic
+  // block; offload evaluations accumulate their moves there.
+  auto& w = world();
+  const auto& metrics = obs::MetricsRegistry::global();
+  constexpr auto assignments = obs::metric("traffic.assignments");
+  constexpr auto offloaded = obs::metric("traffic.offloaded_flows");
+  constexpr auto rejected = obs::metric("traffic.rejected_flows");
+  constexpr auto saved = obs::metric("traffic.wan_bytes_saved");
+  double t = 0.0;
+  const auto matrix = overloaded_matrix(w, 1.1, t);
+  const std::uint64_t assignments_before = metrics.count(assignments);
+  auto snap = assign_load(w.vns(), matrix, t);
+  EXPECT_EQ(metrics.count(assignments), assignments_before + 1);
+  EXPECT_EQ(metrics.count(obs::metric("traffic.links_loaded")), snap.links_loaded);
+  EXPECT_DOUBLE_EQ(metrics.value(obs::metric("traffic.util_p50")), snap.util_p50);
+  EXPECT_DOUBLE_EQ(metrics.value(obs::metric("traffic.util_max")), snap.util_max);
+  EXPECT_DOUBLE_EQ(metrics.value(obs::metric("traffic.unrouted_mbps")), snap.unrouted_mbps);
+
+  const std::uint64_t offloaded_before = metrics.count(offloaded);
+  const std::uint64_t rejected_before = metrics.count(rejected);
+  const double saved_before = metrics.value(saved);
+  const OffloadPolicy policy{OffloadConfig{}, [](core::PopId, core::PopId) {
+                               return PathQuality{true, 0.001, 50.0};
+                             }};
+  auto second = snap;
+  const auto report = policy.evaluate(w.vns(), matrix, t, snap);
+  const auto again = policy.evaluate(w.vns(), matrix, t, second);
+  ASSERT_GT(report.offloaded_flows, 0u);
+  EXPECT_EQ(metrics.count(offloaded) - offloaded_before,
+            report.offloaded_flows + again.offloaded_flows);
+  EXPECT_EQ(metrics.count(rejected) - rejected_before,
+            report.rejected_flows + again.rejected_flows);
+  const double moved = report.wan_bytes_saved + again.wan_bytes_saved;
+  EXPECT_NEAR(metrics.value(saved) - saved_before, moved, 1e-9 * (saved_before + moved));
 }
 
 }  // namespace

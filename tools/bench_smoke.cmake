@@ -1,12 +1,11 @@
 # CTest driver for the bench_smoke target (invoked via `cmake -P`).
 #
-# Runs every bench listed in BENCHES with `--small --scale small --json
-# --trace --seed 7` inside WORK_DIR (the explicit `--scale` keeps the new
-# preset-parsing path covered while staying at smoke size), then validates
-# the BENCH_*.json it wrote with
-# `JSON_CHECK --bench` (well-formed JSON plus the required memory-accounting
-# fields) and the TRACE_*.jsonl with `JSON_CHECK --jsonl`.  Any bench
-# failure, missing artifact, or malformed artifact fails the test.
+# Runs every bench listed in BENCHES with `--scale small --json --trace
+# --seed 7` inside WORK_DIR, then validates the BENCH_*.json it wrote with
+# `JSON_CHECK --bench` (well-formed JSON plus the run header and every
+# declared metric in its block) and the TRACE_*.jsonl with
+# `JSON_CHECK --jsonl`.  Any bench failure, missing artifact, or malformed
+# artifact fails the test.
 #
 # Expected -D inputs: BENCH_DIR, JSON_CHECK, BENCHES (;-list), WORK_DIR.
 
@@ -34,9 +33,9 @@ foreach(bench IN LISTS BENCHES)
   set(trace_artifact "${WORK_DIR}/TRACE_${stem}.jsonl")
   file(REMOVE "${json_artifact}" "${trace_artifact}")
 
-  message(STATUS "bench_smoke: ${bench} --small --scale small --json --trace")
+  message(STATUS "bench_smoke: ${bench} --scale small --json --trace")
   execute_process(
-    COMMAND "${binary}" --small --scale small --json --trace --seed 7
+    COMMAND "${binary}" --scale small --json --trace --seed 7
     WORKING_DIRECTORY "${WORK_DIR}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE run_out

@@ -1,31 +1,36 @@
 // Strict JSON / JSONL validator for the machine-readable artifacts the
 // benches emit (BENCH_*.json, TRACE_*.jsonl).  The bench_smoke ctest target
-// runs every bench with `--small --json --trace` and feeds the outputs
+// runs every bench with `--scale small --json --trace` and feeds the outputs
 // through this tool, so malformed emission fails CI instead of silently
 // rotting downstream tooling.
 //
 //   json_check FILE...            each file must be exactly one JSON value
 //   json_check --jsonl FILE...    each non-empty line must be one JSON value
 //   json_check --bench FILE...    JSON value that must also carry the bench
-//                                 record's run-metadata header and
-//                                 memory-accounting fields (peak RSS +
-//                                 AttrTable intern stats)
+//                                 record's run header and every metric of
+//                                 obs::kMetrics, each at its own path
+//                                 ("memory.fib.patches", not just any
+//                                 "patches" member)
 //   json_check --bench --require-slo FILE...
 //                                 additionally require the serving-mode
 //                                 "slo" block (bench_slo_serving's contract)
 //
-// Exit 0 when everything parses; 1 with `file:offset: message` on the first
-// error per file.  Recursive-descent per RFC 8259: objects, arrays, strings
-// with escape validation, numbers, true/false/null.  No extensions — a
-// trailing comma, bare NaN or unescaped control character is an error.
+// Exit 0 when everything parses and every required member is present; 1
+// with `file:offset: message` or the first missing path per file.
+// Recursive-descent per RFC 8259: objects, arrays, strings with escape
+// validation, numbers, true/false/null.  No extensions — a trailing comma,
+// bare NaN or unescaped control character is an error.
 #include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -33,6 +38,10 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string error;
+  /// When set, collects the dotted path of every object member
+  /// ("memory.fib.patches"); array elements add no path component.
+  std::set<std::string>* paths = nullptr;
+  std::string path{};  ///< path of the member being parsed
 
   bool fail(const std::string& message) {
     if (error.empty()) error = message;
@@ -139,11 +148,20 @@ struct Parser {
     }
     while (true) {
       skip_ws();
+      const std::size_t key_start = pos;
       if (!string()) return false;
+      const std::string_view key = text.substr(key_start + 1, pos - key_start - 2);
       skip_ws();
       if (pos >= text.size() || text[pos] != ':') return fail("expected ':'");
       ++pos;
+      const std::size_t parent = path.size();
+      if (paths != nullptr) {
+        if (parent != 0) path += '.';
+        path += key;
+        paths->insert(path);
+      }
       if (!value(depth + 1)) return false;
+      path.resize(parent);
       skip_ws();
       if (pos < text.size() && text[pos] == ',') {
         ++pos;
@@ -188,69 +206,45 @@ struct Parser {
   }
 };
 
-bool check_json(const std::string& name, std::string_view content) {
+bool check_json(const std::string& name, std::string_view content,
+                std::set<std::string>* paths = nullptr) {
   Parser parser{content};
+  parser.paths = paths;
   if (parser.document()) return true;
   std::cerr << name << ':' << parser.pos << ": " << parser.error << '\n';
   return false;
 }
 
-/// Every key a BENCH_*.json "memory" object must carry (bench_common.hpp
-/// emits them unconditionally; a missing key means the emission regressed).
-constexpr std::string_view kBenchMemoryKeys[] = {
-    "memory",          "peak_rss_kb",      "attr_unique_live",
-    "attr_peak_unique", "attr_live_refs",  "attr_intern_calls",
-    "attr_intern_hits", "attr_bytes_allocated", "attr_bytes_requested",
-    "attr_dedup_ratio",
-    // Per-route memory accounting (PR 7: RSS divided by installed routes).
-    "rss_per_route", "routes",
-    // Compiled data-plane stats (nested "fib" object), split into full
-    // compiles vs. incremental RIB-delta patches since PR 7.
-    "fib", "entries", "spill_tables", "bytes", "rebuilds", "full_rebuilds",
-    "patches", "slots_touched", "build_seconds",
-    // build_seconds decomposition (PR 10): wall-clock spent in full
-    // DIR-16-8-8 compiles vs. incremental patches, so regressions in either
-    // path are visible separately.
-    "full_build_seconds", "patch_seconds",
-    // Sharded convergence engine stats (the "convergence" object).
-    "convergence", "runs", "messages", "batches", "messages_per_sec",
-    "shard_limit", "shard_occupancy_mean", "shard_occupancy_max",
-    "max_batch_messages",
-    // Run-identity header (the "meta" object, PR 8): scale preset, thread
-    // count, seed and an ISO-8601 write timestamp.
-    "meta", "scale", "seed", "timestamp",
-    // Traffic-engineering accounting (the "traffic" object, DESIGN §14):
-    // emitted by every bench, all-zero when the run carried no load.
-    "traffic", "assignments", "links_loaded", "util_p50", "util_max",
-    "offloaded_flows", "rejected_flows", "wan_bytes_saved",
+/// The run header every BENCH_*.json carries ahead of its metric blocks.
+constexpr std::string_view kBenchHeaderPaths[] = {
+    "name",           "paper_ref",     "meta.scale",       "meta.threads", "meta.seed",
+    "meta.timestamp", "build_seconds", "campaign_seconds", "config",       "metrics",
 };
 
-/// Keys the serving-mode "slo" block must carry (--require-slo; enforced
-/// only for bench_slo_serving, whose record contract includes it).  A
-/// percentile key may hold null: ladders emit null for a quantile with
-/// fewer than ten samples beyond it.
-constexpr std::string_view kBenchSloKeys[] = {
-    "slo",    "resolve", "publish",     "p50_ns",      "p99_ns",
-    "p50_us", "p99_us",  "fib_patches", "fib_full_rebuilds",
+/// Members of the serving-mode "slo" block (--require-slo; enforced only for
+/// bench_slo_serving, whose record contract includes it).  A percentile may
+/// hold null: ladders emit null for a quantile with fewer than ten samples
+/// beyond it.
+constexpr std::string_view kBenchSloPaths[] = {
+    "slo.resolve.p50_ns", "slo.resolve.p99_ns", "slo.publish.p50_us",
+    "slo.publish.p99_us", "slo.fib_patches",    "slo.fib_full_rebuilds",
 };
 
 bool check_bench_record(const std::string& name, std::string_view content,
                         bool require_slo) {
-  if (!check_json(name, content)) return false;
-  for (const std::string_view key : kBenchMemoryKeys) {
-    const std::string quoted = '"' + std::string{key} + '"';
-    if (content.find(quoted) == std::string_view::npos) {
-      std::cerr << name << ": bench record missing memory field " << quoted << '\n';
-      return false;
-    }
+  std::set<std::string> paths;
+  if (!check_json(name, content, &paths)) return false;
+  std::vector<std::string> required{std::begin(kBenchHeaderPaths), std::end(kBenchHeaderPaths)};
+  for (const vns::obs::MetricDef& def : vns::obs::kMetrics) {
+    required.push_back(std::string{vns::obs::block_path(def.block)} + '.' + std::string{def.key});
   }
   if (require_slo) {
-    for (const std::string_view key : kBenchSloKeys) {
-      const std::string quoted = '"' + std::string{key} + '"';
-      if (content.find(quoted) == std::string_view::npos) {
-        std::cerr << name << ": bench record missing slo field " << quoted << '\n';
-        return false;
-      }
+    required.insert(required.end(), std::begin(kBenchSloPaths), std::end(kBenchSloPaths));
+  }
+  for (const std::string& path : required) {
+    if (!paths.contains(path)) {
+      std::cerr << name << ": bench record has no \"" << path << "\" member\n";
+      return false;
     }
   }
   return true;
