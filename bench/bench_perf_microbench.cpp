@@ -5,9 +5,11 @@
 // recompile at full-table scale — plus the observability paths: fabric
 // convergence with tracing off vs on (the off variant is the zero-cost
 // claim's evidence), the metrics registry's hot-path add, trace-sink record
-// and provenance.
+// and provenance — and one IGP link flap on a small world, with the number
+// of BGP decisions it re-ran.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -238,17 +240,50 @@ void run_sharded_convergence(benchmark::State& state, int threads) {
   state.counters["shard_occupancy_mean"] = stats.mean_shard_occupancy();
 }
 
+// The serial/sharded pair below and the FIB-compile pair time wall clock:
+// with worker threads the main thread's CPU time undercounts the work, so
+// CPU-time rates would credit the parallel variant with speed it lacks.
 void BM_ConvergenceSerial(benchmark::State& state) {
   // threads=1: the inline drain, same batch algorithm, no pool hand-off.
   run_sharded_convergence(state, 1);
 }
-BENCHMARK(BM_ConvergenceSerial);
+BENCHMARK(BM_ConvergenceSerial)->UseRealTime();
 
 void BM_ConvergenceSharded(benchmark::State& state) {
   // threads=4: per-shard worklists processed across the pool.
   run_sharded_convergence(state, 4);
 }
-BENCHMARK(BM_ConvergenceSharded);
+BENCHMARK(BM_ConvergenceSharded)->UseRealTime();
+
+void BM_IgpLinkFlap(benchmark::State& state) {
+  // One long-haul circuit failed and restored (each converged and
+  // published) on a small world with geo routing on.  An IGP change
+  // re-decides only the prefixes whose hot-potato tie order moved;
+  // igp_redecisions_per_flap keeps that count measured.
+  auto world = measure::Workbench::build(measure::WorkbenchConfig::small(1));
+  core::VnsNetwork& vns = world->vns();
+  vns.set_geo_routing(true);
+  const auto links = vns.links();
+  const auto link = std::find_if(links.begin(), links.end(),
+                                 [](const core::VnsLink& l) { return l.long_haul; });
+  const core::PopId a = link->a;
+  const core::PopId b = link->b;
+  const auto& metrics = obs::MetricsRegistry::global();
+  constexpr auto redecisions = obs::metric("convergence.igp_redecisions");
+  const std::uint64_t redecisions_before = metrics.count(redecisions);
+  const std::size_t messages_before = vns.fabric().messages_delivered();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vns.fail_pop_link(a, b));
+    benchmark::DoNotOptimize(vns.restore_pop_link(a, b));
+  }
+  const auto flaps = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["igp_redecisions_per_flap"] =
+      static_cast<double>(metrics.count(redecisions) - redecisions_before) / flaps;
+  state.counters["messages_per_flap"] =
+      static_cast<double>(vns.fabric().messages_delivered() - messages_before) / flaps;
+}
+BENCHMARK(BM_IgpLinkFlap)->UseRealTime();
 
 void BM_TraceSinkRecord(benchmark::State& state) {
   obs::TraceSink sink{1u << 16};
@@ -573,8 +608,8 @@ void BM_FibCompileParallel(benchmark::State& state) {
   compile_with_threads(state, 4);
 }
 
-BENCHMARK(BM_FibCompileSerial);
-BENCHMARK(BM_FibCompileParallel);
+BENCHMARK(BM_FibCompileSerial)->UseRealTime();
+BENCHMARK(BM_FibCompileParallel)->UseRealTime();
 
 // --- heap-backed vs arena-backed RIB maps -----------------------------------
 

@@ -1,6 +1,7 @@
 #include "bgp/decision.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 
 namespace vns::bgp {
@@ -71,19 +72,40 @@ bool prefer(const Route& a, const Route& b, const DecisionContext& ctx,
   return decided(DecisionRung::kEqual, false);
 }
 
+bool tie_order_moved(TieSet ties, std::span<const IgpMetric> before,
+                     std::span<const IgpMetric> after) noexcept {
+  // An egress the rows do not cover is as unknown as one the mask cannot hold.
+  if (ties.always_revisit() || before.size() != after.size() ||
+      std::bit_width(ties.bits()) > before.size()) {
+    return true;
+  }
+  const auto order = [](IgpMetric x, IgpMetric y) { return (x > y) - (x < y); };
+  for (std::uint64_t rest = ties.bits(); rest != 0; rest &= rest - 1) {
+    const auto a = static_cast<std::size_t>(std::countr_zero(rest));
+    for (std::uint64_t others = rest & (rest - 1); others != 0; others &= others - 1) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(others));
+      if (order(before[a], before[b]) != order(after[a], after[b])) return true;
+    }
+  }
+  return false;
+}
+
 std::size_t select_best(std::span<const Route* const> candidates, const DecisionContext& ctx,
-                        bool* igp_sensitive_out) {
-  if (igp_sensitive_out != nullptr) *igp_sensitive_out = false;
+                        TieSet* ties_out) {
+  if (ties_out != nullptr) *ties_out = TieSet{};
   if (candidates.empty()) return static_cast<std::size_t>(-1);
   std::size_t best = 0;
   for (std::size_t i = 1; i < candidates.size(); ++i) {
+    const Route& challenger = *candidates[i];
+    const Route& incumbent = *candidates[best];
     DecisionRung rung = DecisionRung::kEqual;
-    if (prefer(*candidates[i], *candidates[best], ctx, &rung)) best = i;
-    // The router-id rung is reached only when IGP metrics tied (or were not
-    // comparable), so a metric change can still reorder those candidates.
-    if (igp_sensitive_out != nullptr &&
-        (rung == DecisionRung::kIgpMetric || rung == DecisionRung::kRouterId)) {
-      *igp_sensitive_out = true;
+    if (prefer(challenger, incumbent, ctx, &rung)) best = i;
+    // Every rung from the IGP metric down was reached only because all the
+    // rungs above tied, so this comparison's outcome is a function of the
+    // two egresses' metric order (the router-id rung means they tied).
+    if (ties_out != nullptr && rung >= DecisionRung::kIgpMetric) {
+      ties_out->insert(challenger.egress);
+      ties_out->insert(incumbent.egress);
     }
   }
   return best;
@@ -105,9 +127,9 @@ std::vector<const Route*> as_views(std::span<const Route> candidates) {
 }  // namespace
 
 std::size_t select_best(std::span<const Route> candidates, const DecisionContext& ctx,
-                        bool* igp_sensitive_out) {
+                        TieSet* ties_out) {
   const auto views = as_views(candidates);
-  return select_best(std::span<const Route* const>{views}, ctx, igp_sensitive_out);
+  return select_best(std::span<const Route* const>{views}, ctx, ties_out);
 }
 
 std::int64_t margin_at(const Route& a, const Route& b, DecisionRung rung,

@@ -15,6 +15,7 @@
 // converts hot-potato into cold-potato egress selection.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "bgp/igp.hpp"
@@ -48,21 +49,56 @@ struct DecisionContext {
 [[nodiscard]] bool prefer(const Route& a, const Route& b, const DecisionContext& ctx,
                           DecisionRung* rung_out = nullptr);
 
+/// The egress routers whose IGP metrics a select_best scan compared: both
+/// sides of every comparison settled at the IGP-metric rung or below.
+/// `prefer` reads the IGP only through the order (<, =, >) of the deciding
+/// router's metrics to those egresses, so an IGP change that keeps their
+/// pairwise order replays the same scan to the same winner.  One word, so a
+/// decision records it without allocating: bit i is router i, and the top
+/// bit stands for any egress the mask cannot hold (ids >= kCapacity, or no
+/// egress), which makes the set match every IGP change.
+class TieSet {
+ public:
+  static constexpr RouterId kCapacity = 63;
+
+  void insert(RouterId egress) noexcept {
+    bits_ |= egress < kCapacity ? std::uint64_t{1} << egress : kUnrepresentable;
+  }
+  [[nodiscard]] bool empty() const noexcept { return bits_ == 0; }
+  /// True when an egress fell outside the mask: every IGP change moves it.
+  [[nodiscard]] bool always_revisit() const noexcept {
+    return (bits_ & kUnrepresentable) != 0;
+  }
+  [[nodiscard]] std::uint64_t bits() const noexcept { return bits_; }
+
+  friend bool operator==(TieSet, TieSet) = default;
+
+ private:
+  static constexpr std::uint64_t kUnrepresentable = std::uint64_t{1} << kCapacity;
+  std::uint64_t bits_ = 0;
+};
+
+/// True when some pair of `ties` compares differently (<, =, >) in the
+/// deciding router's metric row `before` than in `after` (both indexed by
+/// router id) — i.e. when re-running the decision could pick differently.
+/// Always true for an always-revisit set.
+[[nodiscard]] bool tie_order_moved(TieSet ties, std::span<const IgpMetric> before,
+                                   std::span<const IgpMetric> after) noexcept;
+
 /// Index of the best route among candidates (empty span -> SIZE_MAX).
-/// `igp_sensitive_out`, when non-null, is set true iff some pairwise
-/// comparison along the scan was decided at the IGP-metric rung or below —
-/// i.e. a change in IGP costs could flip the outcome, so the deciding
-/// router must re-run this prefix after topology churn.
+/// `ties_out`, when non-null, receives the scan's tie set (see TieSet):
+/// empty when every comparison was settled above the IGP rung, so no IGP
+/// cost change can flip the outcome.
 ///
 /// The pointer-span form is the zero-copy hot path: Router::candidates()
 /// hands out views into the Adj-RIB-In instead of materialized copies.
 [[nodiscard]] std::size_t select_best(std::span<const Route* const> candidates,
                                       const DecisionContext& ctx,
-                                      bool* igp_sensitive_out = nullptr);
+                                      TieSet* ties_out = nullptr);
 /// Convenience over owned routes (tests/benches); builds a view vector.
 [[nodiscard]] std::size_t select_best(std::span<const Route> candidates,
                                       const DecisionContext& ctx,
-                                      bool* igp_sensitive_out = nullptr);
+                                      TieSet* ties_out = nullptr);
 
 // --- decision provenance -----------------------------------------------------
 //

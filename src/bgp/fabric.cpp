@@ -153,24 +153,38 @@ void Fabric::refresh_policies() {
   for (auto& r : routers_) enqueue(r->refresh_all(&delta_log_));
 }
 
-void Fabric::notify_igp_change() {
+std::vector<std::vector<IgpMetric>> Fabric::live_igp_rows() const {
+  std::vector<std::vector<IgpMetric>> rows(routers_.size());
+  for (RouterId r = 0; r < routers_.size(); ++r) {
+    if (router_down_[r]) continue;
+    const auto row = igp_.distances(r);
+    rows[r].assign(row.begin(), row.end());
+  }
+  return rows;
+}
+
+void Fabric::notify_igp_change(const std::vector<std::vector<IgpMetric>>& before) {
   for (auto& r : routers_) {
-    if (!router_down_.at(r->id())) enqueue(r->handle_igp_change(&delta_log_));
+    if (!router_down_.at(r->id())) {
+      enqueue(r->handle_igp_change(before.at(r->id()), &delta_log_));
+    }
   }
 }
 
 bool Fabric::fail_link(RouterId a, RouterId b) {
+  const auto before = live_igp_rows();
   if (!igp_.remove_link(a, b)) return false;
   ++logical_time_;
-  notify_igp_change();
+  notify_igp_change(before);
   trace_event(obs::TraceEventKind::kLinkDown, a, b);
   return true;
 }
 
 bool Fabric::restore_link(RouterId a, RouterId b) {
+  const auto before = live_igp_rows();
   if (!igp_.restore_link(a, b)) return false;
   ++logical_time_;
-  notify_igp_change();
+  notify_igp_change(before);
   trace_event(obs::TraceEventKind::kLinkUp, a, b);
   return true;
 }
@@ -235,6 +249,7 @@ void Fabric::fail_router(RouterId id) {
   router_down_.at(id) = true;
   for (RouterId peer : record.ibgp_peers) fail_session(id, peer);
   for (NeighborId n : record.ebgp_neighbors) fail_session(n);
+  const auto before = live_igp_rows();
   bool igp_changed = false;
   for (RouterId peer : igp_.up_neighbors(id)) {
     if (igp_.remove_link(id, peer)) {
@@ -242,7 +257,7 @@ void Fabric::fail_router(RouterId id) {
       igp_changed = true;
     }
   }
-  if (igp_changed) notify_igp_change();
+  if (igp_changed) notify_igp_change(before);
   downed_routers_[id] = std::move(record);
 }
 
@@ -254,9 +269,10 @@ void Fabric::restore_router(RouterId id) {
   DownedRouter record = std::move(it->second);
   downed_routers_.erase(it);
   router_down_.at(id) = false;
+  const auto before = live_igp_rows();
   bool igp_changed = false;
   for (const auto& [a, b] : record.links) igp_changed |= igp_.restore_link(a, b);
-  if (igp_changed) notify_igp_change();
+  if (igp_changed) notify_igp_change(before);
   for (RouterId peer : record.ibgp_peers) restore_session(id, peer);
   for (NeighborId n : record.ebgp_neighbors) restore_session(n);
 }

@@ -122,8 +122,9 @@ class Fabric {
 
   // --- failure injection ----------------------------------------------------
   /// Fails the IGP link a–b and triggers the IGP-change hook on every live
-  /// router (hot-potato re-tie-break + next-hop reachability re-check).
-  /// Returns false when no such link is up.
+  /// router with its pre-change SPF distance row, so each re-runs exactly
+  /// the decisions the change can move (hot-potato re-tie-breaks, next-hop
+  /// reachability re-checks).  Returns false when no such link is up.
   bool fail_link(RouterId a, RouterId b);
   /// Brings a failed IGP link back with its original metric.
   bool restore_link(RouterId a, RouterId b);
@@ -264,8 +265,12 @@ class Fabric {
   };
 
   void enqueue(std::vector<Emission> emissions);
-  /// Queues the IGP-change hook of every live router, in router-id order.
-  void notify_igp_change();
+  /// Every live router's SPF distance row (empty for a router that is
+  /// down), copied before a fault touches the IGP.
+  [[nodiscard]] std::vector<std::vector<IgpMetric>> live_igp_rows() const;
+  /// Queues the IGP-change hook of every live router, in router-id order,
+  /// handing each its row from `before` (a live_igp_rows snapshot).
+  void notify_igp_change(const std::vector<std::vector<IgpMetric>>& before);
   [[nodiscard]] std::string convergence_diagnostics(std::size_t pending) const;
 
   /// Records a trace event stamped with the logical clock and current queue

@@ -164,6 +164,12 @@ IgpMetric IgpTopology::metric(RouterId from, RouterId to) const {
   return distance_[from][to];
 }
 
+std::span<const IgpMetric> IgpTopology::distances(RouterId from) const {
+  assert(from < adjacency_.size());
+  if (!computed_[from]) run_dijkstra(from);
+  return distance_[from];
+}
+
 std::vector<RouterId> IgpTopology::shortest_path(RouterId from, RouterId to) const {
   assert(from < adjacency_.size() && to < adjacency_.size());
   if (!computed_[from]) run_dijkstra(from);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bgp/types.hpp"
@@ -55,6 +56,10 @@ class IgpTopology {
 
   /// Shortest-path metric; 0 for a==b, kUnreachable when disconnected.
   [[nodiscard]] IgpMetric metric(RouterId from, RouterId to) const;
+
+  /// `from`'s whole SPF distance row, indexed by router id: metric(from, i)
+  /// for every i.  Valid until the next topology change.
+  [[nodiscard]] std::span<const IgpMetric> distances(RouterId from) const;
 
   /// Fills every source's SPF cache that is not already computed.  The
   /// sharded convergence engine calls this before fanning a batch across

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/metrics.hpp"
+
 namespace vns::bgp {
 
 bool same_advertisement(const Route& a, const Route& b) noexcept {
@@ -327,21 +329,49 @@ std::vector<Emission> Router::handle_session_up(const SessionKey& key) {
   return out;
 }
 
-std::vector<Emission> Router::handle_igp_change(std::vector<RibDelta>* dirty) {
-  // Revisit (a) prefixes whose last decision was IGP-sensitive and (b)
-  // prefixes whose installed best egress the IGP can no longer reach.  All
-  // other loc-RIB entries are provably unaffected: their outcome was decided
-  // strictly above the IGP rung with every candidate still resolvable.
-  std::vector<net::Ipv4Prefix> affected(igp_dependent_.begin(), igp_dependent_.end());
-  for (const auto& [prefix, route] : loc_rib_) {
-    if (igp_dependent_.contains(prefix)) continue;
-    if (igp_ != nullptr && route.egress != id_ && route.egress != kInvalidRouter &&
-        igp_->metric(id_, route.egress) == kUnreachable) {
+std::vector<Emission> Router::handle_igp_change(std::span<const IgpMetric> before,
+                                               std::vector<RibDelta>* dirty) {
+  assert(igp_ != nullptr);
+  std::vector<Emission> out;
+  const std::span<const IgpMetric> after = igp_->distances(id_);
+  if (std::equal(before.begin(), before.end(), after.begin(), after.end())) return out;
+  bool reachability_changed = before.size() != after.size();
+  for (std::size_t i = 0; !reachability_changed && i < after.size(); ++i) {
+    reachability_changed = (before[i] == kUnreachable) != (after[i] == kUnreachable);
+  }
+
+  std::vector<net::Ipv4Prefix> affected;
+  if (reachability_changed) {
+    // Revisit (a) every IGP-dependent prefix and (b) prefixes whose
+    // installed best egress the IGP can no longer reach.  All other loc-RIB
+    // entries are provably unaffected: their outcome was decided strictly
+    // above the IGP rung with every candidate still resolvable.
+    affected.reserve(igp_dependent_.size());
+    for (const auto& [prefix, ties] : igp_dependent_) {
+      (void)ties;
       affected.push_back(prefix);
+    }
+    for (const auto& [prefix, route] : loc_rib_) {
+      if (igp_dependent_.contains(prefix)) continue;
+      if (route.egress != id_ && route.egress != kInvalidRouter &&
+          igp_->metric(id_, route.egress) == kUnreachable) {
+        affected.push_back(prefix);
+      }
+    }
+  } else {
+    // Same candidates everywhere, so a decision can move only through the
+    // metric order of its tie set.  Prefixes share a handful of tie sets
+    // (a PoP's two routers, say): judge each distinct set once.
+    std::unordered_map<std::uint64_t, bool> moved;
+    for (const auto& [prefix, ties] : igp_dependent_) {
+      const auto [verdict, fresh] = moved.try_emplace(ties.bits(), false);
+      if (fresh) verdict->second = tie_order_moved(ties, before, after);
+      if (verdict->second) affected.push_back(prefix);
     }
   }
   std::sort(affected.begin(), affected.end());
-  std::vector<Emission> out;
+  obs::MetricsRegistry::global().add(obs::metric("convergence.igp_redecisions"),
+                                     affected.size());
   for (const auto& prefix : affected) decide_and_advertise(prefix, out, dirty);
   return out;
 }
@@ -351,9 +381,8 @@ void Router::decide_and_advertise(const net::Ipv4Prefix& prefix, std::vector<Emi
   bool dropped_unreachable = false;
   const auto routes = candidates(prefix, &dropped_unreachable);
   const DecisionContext ctx{id_, igp_};
-  bool igp_sensitive = false;
-  const std::size_t best =
-      select_best(std::span<const Route* const>{routes}, ctx, &igp_sensitive);
+  TieSet ties;
+  const std::size_t best = select_best(std::span<const Route* const>{routes}, ctx, &ties);
   // Structural change detection for the RIB-delta protocol: a delivery that
   // re-decides to the same Loc-RIB entry produces no delta (Route::operator==
   // is exact — interning makes the attrs compare one pointer compare).
@@ -376,8 +405,8 @@ void Router::decide_and_advertise(const net::Ipv4Prefix& prefix, std::vector<Emi
   // A prefix stays on the IGP watchlist while its outcome could change with
   // IGP costs: a tie fell through to the IGP rung or below, or a candidate
   // was suppressed for unreachability (and would return on repair).
-  if (igp_sensitive || dropped_unreachable) {
-    igp_dependent_.insert(prefix);
+  if (!ties.empty() || dropped_unreachable) {
+    igp_dependent_.insert_or_assign(prefix, ties);
   } else {
     igp_dependent_.erase(prefix);
   }

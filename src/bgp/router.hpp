@@ -18,7 +18,7 @@
 //   - session liveness: sessions can go down and come back
 //     (`handle_session_down` / `handle_session_up`), flushing and rebuilding
 //     the per-session RIBs, and `handle_igp_change` re-runs the decision for
-//     exactly the prefixes whose outcome depended on IGP costs.
+//     exactly the prefixes whose outcome an IGP change can move.
 //
 // Routers do not talk to each other directly: handle_*() returns the updates
 // to emit and the Fabric delivers them (deterministic FIFO).
@@ -31,7 +31,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/decision.hpp"
@@ -132,10 +131,6 @@ class Router {
                          std::equal_to<net::Ipv4Prefix>,
                          util::ArenaAllocator<std::pair<const net::Ipv4Prefix, T>>>;
   using LocRib = PrefixMap<Route>;
-  using PrefixSet =
-      std::unordered_set<net::Ipv4Prefix, std::hash<net::Ipv4Prefix>,
-                         std::equal_to<net::Ipv4Prefix>,
-                         util::ArenaAllocator<net::Ipv4Prefix>>;
 
   Router(RouterId id, std::string name, net::Asn local_asn);
 
@@ -182,11 +177,17 @@ class Router {
   /// current state over it (the peer lost everything with the session).
   /// Never mutates the Loc-RIB, so it takes no dirty sink.
   [[nodiscard]] std::vector<Emission> handle_session_up(const SessionKey& key);
-  /// IGP churn: re-runs the decision for prefixes whose last outcome was
-  /// IGP-sensitive (tie broken at the IGP rung or below, or a candidate
-  /// filtered for an unresolvable next hop) and prefixes whose current best
-  /// egress became IGP-unreachable.
-  [[nodiscard]] std::vector<Emission> handle_igp_change(std::vector<RibDelta>* dirty = nullptr);
+  /// IGP churn.  `before` is this router's SPF distance row
+  /// (IgpTopology::distances) from before the change.  The decision reads
+  /// the IGP only through that row, so an unchanged row re-decides nothing.
+  /// When some router became reachable or unreachable from this one,
+  /// candidates() may gain or lose routes: every IGP-dependent prefix (a tie
+  /// at the IGP rung or below, or a candidate filtered for an unresolvable
+  /// next hop) and every prefix whose best egress became unreachable is
+  /// re-decided.  Otherwise only the prefixes whose tie set's pairwise
+  /// metric order moved are.
+  [[nodiscard]] std::vector<Emission> handle_igp_change(std::span<const IgpMetric> before,
+                                                        std::vector<RibDelta>* dirty = nullptr);
 
   // --- inspection ----------------------------------------------------------
   [[nodiscard]] bool session_is_up(SessionKind kind, std::uint32_t id) const noexcept;
@@ -219,7 +220,7 @@ class Router {
   }
   /// Raw (pre-policy) Adj-RIB-In entry count, for diagnostics.
   [[nodiscard]] std::size_t rib_in_size() const noexcept;
-  /// Prefixes currently tracked as IGP-sensitive (diagnostics/tests).
+  /// Prefixes currently tracked as IGP-dependent (diagnostics/tests).
   [[nodiscard]] std::size_t igp_dependent_count() const noexcept {
     return igp_dependent_.size();
   }
@@ -341,9 +342,10 @@ class Router {
   LocRib loc_rib_{rib_alloc<Route>()};
   /// Last advertisement per session (packed key) and prefix.
   std::unordered_map<std::uint64_t, PrefixMap<Route>> adj_rib_out_;
-  /// Prefixes whose last decision was IGP-sensitive — the exact set
-  /// handle_igp_change must revisit.
-  PrefixSet igp_dependent_{util::ArenaAllocator<net::Ipv4Prefix>{rib_arena_}};
+  /// Prefixes whose last decision an IGP change could move, each with the
+  /// tie set its scan compared (empty when only a candidate dropped for an
+  /// unreachable next hop put it here).  handle_igp_change revisits a subset.
+  PrefixMap<TieSet> igp_dependent_{rib_alloc<TieSet>()};
   mutable std::mutex delivery_mutex_;
 };
 

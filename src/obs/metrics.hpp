@@ -127,7 +127,9 @@ inline constexpr MetricDef kMetrics[] = {
     {Block::kFib, "patch_seconds", Kind::kCounter, Unit::kSeconds},
     // The sharded convergence engine, summed over every fabric's runs.  The
     // per-second rate, the mean occupancy and the shard limit are sampled at
-    // export.
+    // export.  igp_redecisions counts the (router, prefix) decisions IGP
+    // changes re-ran: only those whose hot-potato tie order moved, or all
+    // IGP-dependent ones when reachability changed.
     {Block::kConvergence, "runs", Kind::kCounter, Unit::kCount},
     {Block::kConvergence, "messages", Kind::kCounter, Unit::kCount},
     {Block::kConvergence, "batches", Kind::kCounter, Unit::kCount},
@@ -138,6 +140,7 @@ inline constexpr MetricDef kMetrics[] = {
     {Block::kConvergence, "shard_occupancy_max", Kind::kGauge, Unit::kCount},
     {Block::kConvergence, "max_batch_messages", Kind::kGauge, Unit::kCount},
     {Block::kConvergence, "seconds", Kind::kCounter, Unit::kSeconds},
+    {Block::kConvergence, "igp_redecisions", Kind::kCounter, Unit::kCount},
     // Traffic engineering: the last load-assignment pass, plus the offload
     // policy's cumulative moves.
     {Block::kTraffic, "assignments", Kind::kCounter, Unit::kCount},

@@ -1,6 +1,8 @@
 #include "serve/update_trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -217,21 +219,27 @@ std::optional<std::string> scan_string(std::string_view line, std::string_view k
   return out;
 }
 
-std::optional<std::uint64_t> scan_u64(std::string_view line, std::string_view key) {
+/// The unsigned number starting at text[i], advancing i past it; nullopt
+/// when there is no digit there or the value does not fit T — hostile input
+/// must be rejected, never wrapped into some other session or PoP.
+template <typename T>
+std::optional<T> take_number(std::string_view text, std::size_t& i) {
+  if (i >= text.size() || text[i] < '0' || text[i] > '9') return std::nullopt;
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data() + i, text.data() + text.size(), value);
+  if (ec != std::errc{}) return std::nullopt;
+  i = static_cast<std::size_t>(end - text.data());
+  return value;
+}
+
+template <typename T>
+std::optional<T> scan_number(std::string_view line, std::string_view key) {
   const std::string pattern = key_pattern(key);
   const auto at = line.find(pattern);
   if (at == std::string_view::npos) return std::nullopt;
   auto i = at + pattern.size();
   while (i < line.size() && line[i] == ' ') ++i;
-  std::uint64_t value = 0;
-  bool any = false;
-  while (i < line.size() && line[i] >= '0' && line[i] <= '9') {
-    value = value * 10 + static_cast<std::uint64_t>(line[i] - '0');
-    ++i;
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  return value;
+  return take_number<T>(line, i);
 }
 
 std::optional<std::vector<net::Asn>> scan_asn_array(std::string_view line,
@@ -240,106 +248,151 @@ std::optional<std::vector<net::Asn>> scan_asn_array(std::string_view line,
   const auto at = line.find(pattern);
   if (at == std::string_view::npos) return std::nullopt;
   auto i = at + pattern.size();
+  const auto skip_spaces = [&] {
+    while (i < line.size() && line[i] == ' ') ++i;
+  };
   std::vector<net::Asn> out;
-  std::uint64_t value = 0;
-  bool in_number = false;
-  for (; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c >= '0' && c <= '9') {
-      value = value * 10 + static_cast<std::uint64_t>(c - '0');
-      in_number = true;
-    } else if (c == ',' || c == ']') {
-      if (in_number) out.push_back(static_cast<net::Asn>(value));
-      value = 0;
-      in_number = false;
-      if (c == ']') return out;
-    } else if (c != ' ') {
-      return std::nullopt;
-    }
+  skip_spaces();
+  if (i < line.size() && line[i] == ']') return out;
+  while (true) {
+    skip_spaces();
+    const auto asn = take_number<net::Asn>(line, i);
+    if (!asn) return std::nullopt;
+    out.push_back(*asn);
+    skip_spaces();
+    if (i >= line.size()) return std::nullopt;  // unterminated array
+    if (line[i] == ']') return out;
+    if (line[i] != ',') return std::nullopt;
+    ++i;
   }
-  return std::nullopt;  // unterminated array
+}
+
+/// Why `event` cannot be applied to `world`, or nullopt when it can: every
+/// session, PoP, upstream index and link it names must exist there.
+std::optional<std::string> check_event(const core::VnsNetwork& world, const UpdateEvent& event) {
+  switch (event.op) {
+    case UpdateOp::kAnnounce:
+    case UpdateOp::kWithdraw:
+      if (event.session >= world.fabric().neighbor_count()) {
+        return "unknown session " + std::to_string(event.session);
+      }
+      return std::nullopt;
+    case UpdateOp::kLinkDown:
+    case UpdateOp::kLinkUp:
+      if (!world.link_index(event.a, event.b)) {
+        return "no link between PoPs " + std::to_string(event.a) + " and " +
+               std::to_string(event.b);
+      }
+      return std::nullopt;
+    case UpdateOp::kUpstreamDown:
+    case UpdateOp::kUpstreamUp:
+      if (event.a >= world.pops().size()) return "unknown PoP " + std::to_string(event.a);
+      if (static_cast<std::size_t>(event.which) >=
+          world.pops()[event.a].upstream_sessions.size()) {
+        return "PoP " + std::to_string(event.a) + " has no upstream " +
+               std::to_string(event.which);
+      }
+      return std::nullopt;
+  }
+  return "unknown op";
 }
 
 }  // namespace
 
-std::optional<UpdateTrace> load_trace(std::istream& in) {
+std::optional<UpdateTrace> load_trace(std::istream& in, const core::VnsNetwork* world,
+                                      std::string* error) {
   UpdateTrace trace;
   bool saw_header = false;
   std::string line;
+  std::size_t line_number = 0;
+  const auto reject = [&](std::string_view why) -> std::optional<UpdateTrace> {
+    if (error != nullptr) *error = "line " + std::to_string(line_number) + ": " + std::string{why};
+    return std::nullopt;
+  };
   while (std::getline(in, line)) {
+    ++line_number;
     if (line.empty()) continue;
     const auto type = scan_string(line, "type");
-    if (!type) return std::nullopt;
+    if (!type) return reject("no \"type\"");
     if (*type == "update_trace") {
-      if (saw_header) return std::nullopt;
+      if (saw_header) return reject("second header");
       saw_header = true;
       const auto scale = scan_string(line, "scale");
-      const auto seed = scan_u64(line, "seed");
-      const auto batches = scan_u64(line, "batches");
-      if (!scale || !seed || !batches) return std::nullopt;
+      const auto seed = scan_number<std::uint64_t>(line, "seed");
+      const auto batches = scan_number<std::uint64_t>(line, "batches");
+      if (!scale || !seed || !batches) return reject("malformed header");
       trace.scale = *scale;
       trace.seed = *seed;
       trace.batches = *batches;
       continue;
     }
-    if (*type != "update_event" || !saw_header) return std::nullopt;
+    if (*type != "update_event") return reject("unknown type");
+    if (!saw_header) return reject("event before the header");
     UpdateEvent event;
-    const auto batch = scan_u64(line, "batch");
+    const auto batch = scan_number<std::uint64_t>(line, "batch");
     const auto op_text = scan_string(line, "op");
-    if (!batch || !op_text) return std::nullopt;
+    // The batch count is the last batch + 1, so the last batch must leave
+    // room for it.
+    if (!batch || *batch == UINT64_MAX || !op_text) return reject("malformed event");
     const auto op = parse_update_op(*op_text);
-    if (!op) return std::nullopt;
+    if (!op) return reject("unknown op");
     event.batch = *batch;
     event.op = *op;
     switch (event.op) {
       case UpdateOp::kAnnounce: {
-        const auto session = scan_u64(line, "session");
+        const auto session = scan_number<bgp::NeighborId>(line, "session");
         const auto prefix_text = scan_string(line, "prefix");
         const auto path = scan_asn_array(line, "as_path");
-        const auto med = scan_u64(line, "med");
-        if (!session || !prefix_text || !path || !med) return std::nullopt;
+        const auto med = scan_number<std::uint32_t>(line, "med");
+        if (!session || !prefix_text || !path || !med) return reject("malformed announce");
         const auto prefix = net::Ipv4Prefix::parse(*prefix_text);
-        if (!prefix) return std::nullopt;
-        event.session = static_cast<bgp::NeighborId>(*session);
+        if (!prefix) return reject("malformed prefix");
+        event.session = *session;
         event.prefix = *prefix;
         event.as_path = *path;
-        event.med = static_cast<std::uint32_t>(*med);
+        event.med = *med;
         break;
       }
       case UpdateOp::kWithdraw: {
-        const auto session = scan_u64(line, "session");
+        const auto session = scan_number<bgp::NeighborId>(line, "session");
         const auto prefix_text = scan_string(line, "prefix");
-        if (!session || !prefix_text) return std::nullopt;
+        if (!session || !prefix_text) return reject("malformed withdraw");
         const auto prefix = net::Ipv4Prefix::parse(*prefix_text);
-        if (!prefix) return std::nullopt;
-        event.session = static_cast<bgp::NeighborId>(*session);
+        if (!prefix) return reject("malformed prefix");
+        event.session = *session;
         event.prefix = *prefix;
         break;
       }
       case UpdateOp::kLinkDown:
       case UpdateOp::kLinkUp: {
-        const auto a = scan_u64(line, "a");
-        const auto b = scan_u64(line, "b");
-        if (!a || !b) return std::nullopt;
-        event.a = static_cast<core::PopId>(*a);
-        event.b = static_cast<core::PopId>(*b);
+        const auto a = scan_number<core::PopId>(line, "a");
+        const auto b = scan_number<core::PopId>(line, "b");
+        if (!a || !b) return reject("malformed link event");
+        event.a = *a;
+        event.b = *b;
         break;
       }
       case UpdateOp::kUpstreamDown:
       case UpdateOp::kUpstreamUp: {
-        const auto pop = scan_u64(line, "pop");
-        const auto which = scan_u64(line, "which");
-        if (!pop || !which) return std::nullopt;
-        event.a = static_cast<core::PopId>(*pop);
-        event.which = static_cast<int>(*which);
+        const auto pop = scan_number<core::PopId>(line, "pop");
+        const auto which = scan_number<int>(line, "which");
+        if (!pop || !which) return reject("malformed upstream event");
+        event.a = *pop;
+        event.which = *which;
         break;
       }
     }
+    if (world != nullptr) {
+      if (const auto why = check_event(*world, event)) return reject(*why);
+    }
     trace.events.push_back(std::move(event));
   }
-  if (!saw_header) return std::nullopt;
-  if (!trace.events.empty()) {
-    trace.batches = std::max(trace.batches, trace.events.back().batch + 1);
+  if (!saw_header) {
+    if (error != nullptr) *error = "no update_trace header";
+    return std::nullopt;
+  }
+  for (const UpdateEvent& event : trace.events) {
+    trace.batches = std::max(trace.batches, event.batch + 1);
   }
   return trace;
 }

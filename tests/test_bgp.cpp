@@ -184,6 +184,56 @@ TEST(Decision, SelectBestOverSpan) {
   EXPECT_EQ(select_best(std::span<const Route>{}, ctx), static_cast<std::size_t>(-1));
 }
 
+TEST(Decision, SelectBestRecordsTheEgressesItComparedOnIgp) {
+  IgpTopology igp{4};
+  igp.add_link(0, 1, 5);
+  igp.add_link(0, 2, 50);
+  igp.add_link(0, 3, 7);
+  const DecisionContext ctx{0, &igp};
+  TieSet ties;
+  // Egresses 1 and 2 meet at the IGP rung; egress 3 loses on LOCAL_PREF.
+  const std::vector<Route> tied{make_route(100, 2, false, 1, 1), make_route(100, 2, false, 2, 2),
+                                make_route(50, 2, false, 3, 3)};
+  EXPECT_EQ(select_best(tied, ctx, &ties), 0u);
+  TieSet expected;
+  expected.insert(1);
+  expected.insert(2);
+  EXPECT_EQ(ties, expected);
+  EXPECT_FALSE(ties.always_revisit());
+
+  // Settled above the IGP rung: no IGP change can move it.
+  const std::vector<Route> settled{make_route(200, 2, false, 1, 1),
+                                   make_route(100, 2, false, 2, 2)};
+  EXPECT_EQ(select_best(settled, ctx, &ties), 0u);
+  EXPECT_TRUE(ties.empty());
+
+  // An egress the mask cannot hold makes the decision always-revisit.
+  const std::vector<Route> wide{make_route(100, 2, false, 1, 1),
+                                make_route(100, 2, false, TieSet::kCapacity, 2)};
+  (void)select_best(wide, DecisionContext{}, &ties);
+  EXPECT_TRUE(ties.always_revisit());
+}
+
+TEST(Decision, TieOrderMovedComparesPairwiseMetricOrder) {
+  TieSet ties;
+  ties.insert(1);
+  ties.insert(2);
+  const std::vector<IgpMetric> before{0, 10, 15, 40};
+  // Both members shift by 10 and a non-member moves: order kept.
+  EXPECT_FALSE(tie_order_moved(ties, before, std::vector<IgpMetric>{0, 20, 25, 1}));
+  // < became > or =.
+  EXPECT_TRUE(tie_order_moved(ties, before, std::vector<IgpMetric>{0, 25, 20, 40}));
+  EXPECT_TRUE(tie_order_moved(ties, before, std::vector<IgpMetric>{0, 15, 15, 40}));
+  // A single egress has no order to move; an empty set has nothing at all.
+  TieSet single;
+  single.insert(1);
+  EXPECT_FALSE(tie_order_moved(single, before, std::vector<IgpMetric>{0, 99, 0, 0}));
+  EXPECT_FALSE(tie_order_moved(TieSet{}, before, std::vector<IgpMetric>{9, 9, 9, 9}));
+  TieSet unrepresentable;
+  unrepresentable.insert(kInvalidRouter);
+  EXPECT_TRUE(tie_order_moved(unrepresentable, before, before));
+}
+
 TEST(Decision, PreferIsAsymmetric) {
   // prefer(a,b) and prefer(b,a) must never both be true (strict preference).
   DecisionContext ctx;

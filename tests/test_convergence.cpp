@@ -10,6 +10,12 @@
 // Fabric::rib_deltas_since + FlatFib::patch must answer identically to
 // from-scratch compiles after every convergence batch, and the delta log
 // itself must be bit-identical for any thread count.
+//
+// The IgpRevisit suite holds the IGP-change rule (re-decide only what the
+// change can move) to the full answer: a route refresh after every
+// convergence of the corpus and of a small-world fault schedule must find
+// nothing left to change, and both schedules' outputs must match digests
+// of what re-deciding every IGP-dependent prefix produces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,12 +24,15 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/fabric.hpp"
+#include "measure/workbench.hpp"
 #include "net/flat_fib.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/engine.hpp"
 
 namespace vns {
 namespace {
@@ -568,6 +577,136 @@ TEST(FibPatch, DeltaLogRecordsStructuralChangesExactlyOnce) {
 
   // A cursor past the end of the log is not a valid consumer position.
   EXPECT_FALSE(fabric.rib_deltas_since(withdrawn.next_cursor + 1).complete);
+}
+
+// ------------------------------------------- IGP revisit rule -------------
+
+/// FNV-1a 64, chained through `hash`: a stable digest for pinning outputs.
+std::uint64_t fnv1a(std::string_view text, std::uint64_t hash = 0xcbf29ce484222325ull) {
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// A full route refresh re-imports and re-decides every prefix at every
+/// router, so after a convergence it must find nothing left to change.
+void expect_refresh_changes_nothing(Fabric& fabric, const std::string& where) {
+  const std::size_t delivered = fabric.messages_delivered();
+  const std::uint64_t head = fabric.rib_deltas_since(0).next_cursor;
+  fabric.refresh_policies();
+  EXPECT_EQ(fabric.run_to_convergence(), 0u) << "refresh sent messages " << where;
+  EXPECT_EQ(fabric.messages_delivered(), delivered) << where;
+  EXPECT_EQ(fabric.rib_deltas_since(0).next_cursor, head)
+      << "refresh changed a Loc-RIB " << where;
+}
+
+TEST(IgpRevisit, RouteRefreshAfterEveryCorpusConvergenceChangesNothing) {
+  // The corpus fails and restores RR-border links and whole border routers
+  // (reachability changes) between announces, withdraws and session faults.
+  for (std::uint64_t seed = 0; seed < 52; ++seed) {
+    int convergence = 0;
+    (void)replay_schedule(seed, /*threads=*/1, 14, [&](Fabric& fabric) {
+      expect_refresh_changes_nothing(fabric, "at seed " + std::to_string(seed) +
+                                                 ", convergence " +
+                                                 std::to_string(convergence++));
+    });
+  }
+}
+
+TEST(IgpRevisit, RouteRefreshAfterSmallWorldLinkAndPopFaultsChangesNothing) {
+  for (const bool geo : {false, true}) {
+    auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
+    core::VnsNetwork& vns = world->vns();
+    vns.set_geo_routing(geo);
+    bgp::Fabric& fabric = vns.fabric();
+    const std::string mode = geo ? "geo" : "hot-potato";
+    for (const core::VnsLink& link : vns.links()) {
+      const std::string where =
+          std::to_string(link.a) + "-" + std::to_string(link.b) + " (" + mode + ")";
+      ASSERT_TRUE(vns.fail_pop_link(link.a, link.b));
+      expect_refresh_changes_nothing(fabric, "after failing link " + where);
+      ASSERT_TRUE(vns.restore_pop_link(link.a, link.b));
+      expect_refresh_changes_nothing(fabric, "after restoring link " + where);
+    }
+    const core::PopId pop = vns.find_pop("SIN").value();
+    vns.fail_pop(pop);
+    expect_refresh_changes_nothing(fabric, "after failing SIN (" + mode + ")");
+    vns.restore_pop(pop);
+    expect_refresh_changes_nothing(fabric, "after restoring SIN (" + mode + ")");
+  }
+}
+
+// Digests of the outputs below as produced when every IGP change re-decides
+// every IGP-dependent prefix; the revisit rule must reproduce them byte for
+// byte.  State digests pin what the network converges to and must survive
+// any change to how the control plane schedules its work; schedule digests
+// pin the trace events, message counts and RIB-delta log that lead there,
+// which a change to the message schedule may deliberately re-pin.
+constexpr std::uint64_t kCorpusStateDigest = 0xc8c51317673f01e9ull;
+constexpr std::uint64_t kCorpusTraceDigest = 0x17c3303413e34f1aull;
+constexpr std::uint64_t kCorpusDeltaHeadDigest = 0x614eda1951d9db3dull;
+constexpr std::uint64_t kSmallWorldStateDigest = 0x47dc62b1a40525f4ull;
+constexpr std::uint64_t kSmallWorldDeltaLogDigest = 0x290b9d3586394552ull;
+
+TEST(IgpRevisit, CorpusOutputsMatchPinnedDigests) {
+  std::uint64_t state = fnv1a("");
+  std::uint64_t trace = fnv1a("");
+  std::uint64_t heads = fnv1a("");
+  for (std::uint64_t seed = 0; seed < 52; ++seed) {
+    const ReplayObservation replay = replay_schedule(seed, /*threads=*/1);
+    state = fnv1a(replay.state, state);
+    trace = fnv1a(replay.trace_jsonl, trace);
+    trace = fnv1a(std::to_string(replay.delivered) + " " + std::to_string(replay.dropped) + "\n",
+                  trace);
+    for (const std::uint64_t head : replay.delta_heads) {
+      heads = fnv1a(std::to_string(head) + "\n", heads);
+    }
+  }
+  EXPECT_EQ(state, kCorpusStateDigest);
+  EXPECT_EQ(trace, kCorpusTraceDigest);
+  EXPECT_EQ(heads, kCorpusDeltaHeadDigest);
+}
+
+TEST(IgpRevisit, SmallWorldFaultScheduleMatchesPinnedDigests) {
+  // Every link down and up, every upstream session down and up, then one
+  // PoP down and up, geo routing on; the state is digested after each event.
+  auto world = measure::Workbench::build(measure::WorkbenchConfig::small(7));
+  core::VnsNetwork& vns = world->vns();
+  vns.set_geo_routing(true);
+  const bgp::Fabric& fabric = vns.fabric();
+  const std::uint64_t start = fabric.rib_deltas_since(0).next_cursor;
+  std::uint64_t state = fnv1a("");
+  const auto digest_state = [&] { state = fnv1a(serve::dump_fabric_state(fabric), state); };
+  for (const core::VnsLink& link : vns.links()) {
+    ASSERT_TRUE(vns.fail_pop_link(link.a, link.b));
+    digest_state();
+    ASSERT_TRUE(vns.restore_pop_link(link.a, link.b));
+    digest_state();
+  }
+  for (const core::VnsPop& pop : vns.pops()) {
+    for (std::size_t which = 0; which < pop.upstream_sessions.size(); ++which) {
+      ASSERT_TRUE(vns.fail_upstream(pop.id, static_cast<int>(which)));
+      digest_state();
+      ASSERT_TRUE(vns.restore_upstream(pop.id, static_cast<int>(which)));
+      digest_state();
+    }
+  }
+  const core::PopId pop = vns.find_pop("SIN").value();
+  vns.fail_pop(pop);
+  digest_state();
+  vns.restore_pop(pop);
+  digest_state();
+
+  const auto log = fabric.rib_deltas_since(start);
+  ASSERT_TRUE(log.complete);
+  std::ostringstream deltas;
+  for (const auto& delta : log.deltas) {
+    deltas << delta.router << ' ' << delta.prefix.to_string() << '\n';
+  }
+  EXPECT_EQ(state, kSmallWorldStateDigest);
+  EXPECT_EQ(fnv1a(deltas.str()), kSmallWorldDeltaLogDigest);
 }
 
 TEST(Convergence, ThreadKnobResolvesAndRebuilds) {

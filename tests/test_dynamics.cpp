@@ -10,6 +10,7 @@
 #include "bgp/fabric.hpp"
 #include "geo/geo.hpp"
 #include "measure/workbench.hpp"
+#include "obs/metrics.hpp"
 
 namespace vns {
 namespace {
@@ -226,6 +227,71 @@ TEST(Dynamics, IgpChangeRerunsHotPotatoTieBreak) {
   fx.fabric.run_to_convergence();
   EXPECT_EQ(fx.fabric.router(fx.rr).best_route(kP1)->egress, fx.e1);
   expect_state_eq(capture(fx.fabric), before);
+}
+
+// ------------------------------------------- IGP re-decisions ---------------
+
+std::uint64_t igp_redecisions() {
+  return obs::MetricsRegistry::global().count(obs::metric("convergence.igp_redecisions"));
+}
+
+TEST(Dynamics, IgpOrderFlipRedecidesThePrefixAndMovesTheBest) {
+  HotPotatoFixture fx;
+  const std::uint64_t before = igp_redecisions();
+  // The RR's metrics go from E1 10 < E2 15 to E1 25 > E2 20: kP1 at the RR
+  // is the one decision whose tie order moved.
+  ASSERT_TRUE(fx.fabric.fail_link(fx.rr, fx.e1));
+  EXPECT_EQ(igp_redecisions() - before, 1u);
+  fx.fabric.run_to_convergence();
+  EXPECT_EQ(fx.fabric.router(fx.rr).best_route(kP1)->egress, fx.e2);
+}
+
+TEST(Dynamics, UnchangedDistanceRowRedecidesNothing) {
+  HotPotatoFixture fx;
+  ASSERT_GE(fx.fabric.router(fx.rr).igp_dependent_count(), 1u);
+  const std::size_t delivered = fx.fabric.messages_delivered();
+  const std::uint64_t before = igp_redecisions();
+  // RR-E2 (20) carries no shortest path (RR reaches E2 at 15 through E1),
+  // so every router's distance row survives its loss.
+  ASSERT_TRUE(fx.fabric.fail_link(fx.rr, fx.e2));
+  EXPECT_EQ(igp_redecisions() - before, 0u);
+  EXPECT_EQ(fx.fabric.run_to_convergence(), 0u);
+  EXPECT_EQ(fx.fabric.messages_delivered(), delivered);
+  EXPECT_EQ(fx.fabric.router(fx.rr).best_route(kP1)->egress, fx.e1);
+}
+
+TEST(Dynamics, IgpShiftKeepingTieOrderRedecidesNothing) {
+  // The RR reaches both egresses through hub H.  Losing its direct trunk to
+  // H (10) detours through B (15 + 5) and lengthens both paths by 10: the
+  // RR's row changes, but E1 15 < E2 18 becomes 25 < 28.
+  Fabric fabric{65000};
+  const RouterId e1 = fabric.add_router("E1");
+  const RouterId e2 = fabric.add_router("E2");
+  const RouterId hub = fabric.add_router("H");
+  const RouterId backup = fabric.add_router("B");
+  const RouterId rr = fabric.add_router("RR");
+  fabric.add_rr_client_session(rr, e1);
+  fabric.add_rr_client_session(rr, e2);
+  fabric.add_igp_link(rr, hub, 10);
+  fabric.add_igp_link(rr, backup, 15);
+  fabric.add_igp_link(backup, hub, 5);
+  fabric.add_igp_link(hub, e1, 5);
+  fabric.add_igp_link(hub, e2, 8);
+  const NeighborId up1 = fabric.add_neighbor(e1, 174, NeighborKind::kUpstream, "up1");
+  const NeighborId up2 = fabric.add_neighbor(e2, 3356, NeighborKind::kUpstream, "up2");
+  fabric.announce(up1, kP1, attrs_with_path({174, 400}));
+  fabric.announce(up2, kP1, attrs_with_path({3356, 400}));
+  fabric.run_to_convergence();
+  ASSERT_EQ(fabric.router(rr).best_route(kP1)->egress, e1);
+  ASSERT_GE(fabric.router(rr).igp_dependent_count(), 1u);
+
+  const std::uint64_t before = igp_redecisions();
+  ASSERT_TRUE(fabric.fail_link(rr, hub));
+  EXPECT_EQ(fabric.igp().metric(rr, e1), 25u);
+  EXPECT_EQ(fabric.igp().metric(rr, e2), 28u);
+  EXPECT_EQ(igp_redecisions() - before, 0u);
+  EXPECT_EQ(fabric.run_to_convergence(), 0u);
+  EXPECT_EQ(fabric.router(rr).best_route(kP1)->egress, e1);
 }
 
 TEST(Dynamics, PartitioningLinkFailureDropsUnreachableNextHops) {

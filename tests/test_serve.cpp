@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "measure/workbench.hpp"
@@ -205,13 +207,58 @@ TEST(Serve, TraceGenerationIsDeterministicAndRoundTripsThroughJsonl) {
   EXPECT_EQ(loaded->batches, trace.batches);
   EXPECT_EQ(loaded->events, trace.events);
 
+  // The generated trace names only what the world has.
+  std::istringstream checked{serve::trace_to_jsonl(trace)};
+  EXPECT_TRUE(serve::load_trace(checked, &world->vns()).has_value());
+
   // Malformed input is rejected, not misparsed.
   std::istringstream headerless{"{\"op\":\"announce\"}\n"};
   EXPECT_FALSE(serve::load_trace(headerless).has_value());
-  std::istringstream bad_op{
+  const std::string header =
       "{\"type\":\"update_trace\",\"version\":1,\"scale\":\"small\",\"seed\":1,"
-      "\"batches\":1,\"events\":1}\n{\"op\":\"frobnicate\",\"batch\":0}\n"};
+      "\"batches\":1,\"events\":1}\n";
+  std::istringstream bad_op{header + "{\"op\":\"frobnicate\",\"batch\":0}\n"};
   EXPECT_FALSE(serve::load_trace(bad_op).has_value());
+  // Numbers that overflow or do not fit their field are rejected, never
+  // wrapped into a different session, AS, MED, batch, PoP or upstream.
+  for (const char* event : {
+           R"({"type":"update_event","batch":0,"op":"announce","session":4294967296,)"
+           R"("prefix":"10.0.0.0/8","as_path":[174,64512],"med":0})",
+           R"({"type":"update_event","batch":0,"op":"announce","session":0,)"
+           R"("prefix":"10.0.0.0/8","as_path":[4294967297,64512],"med":0})",
+           R"({"type":"update_event","batch":0,"op":"announce","session":0,)"
+           R"("prefix":"10.0.0.0/8","as_path":[174,64512],"med":4294967298})",
+           R"({"type":"update_event","batch":18446744073709551616,"op":"withdraw",)"
+           R"("session":0,"prefix":"10.0.0.0/8"})",
+           R"({"type":"update_event","batch":18446744073709551615,"op":"withdraw",)"
+           R"("session":0,"prefix":"10.0.0.0/8"})",
+           R"({"type":"update_event","batch":0,"op":"upstream_down","pop":0,"which":4294967295})",
+           R"({"type":"update_event","batch":0,"op":"upstream_down","pop":4294967296,"which":0})",
+       }) {
+    std::istringstream wrapped{header + event + "\n"};
+    EXPECT_FALSE(serve::load_trace(wrapped).has_value()) << event;
+  }
+
+  // Checked against the world, an event naming a session, PoP, upstream or
+  // link it lacks is rejected with its line number.
+  for (const auto& [event, why] : std::vector<std::pair<std::string, std::string>>{
+           {R"({"type":"update_event","batch":0,"op":"withdraw","session":9999,)"
+            R"("prefix":"10.0.0.0/8"})",
+            "line 2: unknown session 9999"},
+           {R"({"type":"update_event","batch":0,"op":"upstream_down","pop":99,"which":0})",
+            "line 2: unknown PoP 99"},
+           {R"({"type":"update_event","batch":0,"op":"upstream_up","pop":0,"which":7})",
+            "line 2: PoP 0 has no upstream 7"},
+           {R"({"type":"update_event","batch":0,"op":"link_down","a":0,"b":99})",
+            "line 2: no link between PoPs 0 and 99"},
+       }) {
+    std::istringstream unknown{header + event + "\n"};
+    std::string error;
+    EXPECT_FALSE(serve::load_trace(unknown, &world->vns(), &error).has_value()) << event;
+    EXPECT_EQ(error, why);
+    std::istringstream unchecked{header + event + "\n"};
+    EXPECT_TRUE(serve::load_trace(unchecked).has_value()) << event;
+  }
 }
 
 // ----------------------------------------------------------------- engine ---

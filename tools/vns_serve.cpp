@@ -13,7 +13,9 @@
 //                    (pacing only; the event schedule is wall-clock free)
 //   --qps Q          per-resolver probe rate (0 = unthrottled)
 //   --record FILE    generate the trace, save it to FILE, then run it
-//   --replay FILE    load the trace from FILE instead of generating one
+//   --replay FILE    load the trace from FILE instead of generating one; a
+//                    malformed line or one naming a session, PoP, upstream
+//                    or link the world lacks exits 1 and names the line
 //   --dump-state F   write the canonical final fabric state dump to F —
 //                    byte-compare two runs to verify replay determinism
 //
@@ -143,9 +145,13 @@ int main(int argc, char** argv) {
       std::cerr << "vns_serve: cannot open " << args->replay_path << "\n";
       return 1;
     }
-    auto loaded = serve::load_trace(in);
+    // Checked against the built world before serving: an event naming a
+    // session, PoP, upstream or link this world lacks is refused, not
+    // applied to whatever its id happens to reach.
+    std::string error;
+    auto loaded = serve::load_trace(in, &world->vns(), &error);
     if (!loaded) {
-      std::cerr << "vns_serve: malformed trace " << args->replay_path << "\n";
+      std::cerr << "vns_serve: bad trace " << args->replay_path << ", " << error << "\n";
       return 1;
     }
     trace = std::move(*loaded);
