@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bgp/attr_table.hpp"
-#include "bgp/fabric.hpp"
 #include "measure/workbench.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -140,7 +139,6 @@ struct BenchArgs {
 
   [[nodiscard]] measure::WorkbenchConfig workbench_config() const {
     auto config = measure::WorkbenchConfig::at_scale(scale, seed);
-    config.threads = threads;
     if (trace) config.trace = &trace_sink();
     return config;
   }
@@ -316,9 +314,9 @@ inline void print_run_counters(std::ostream& out, const BenchArgs& args,
 }
 
 /// Samples into the registry what it cannot count as it happens: peak RSS,
-/// the AttrTable's live intern stats, the convergence shard limit and the
-/// ratios derived from other cells.  The one place these gauges are written,
-/// just before an export reads them.
+/// the AttrTable's live intern stats and the ratios derived from other
+/// cells.  The one place these gauges are written, just before an export
+/// reads them.
 inline void sample_export_metrics() {
   auto& metrics = obs::MetricsRegistry::global();
   const std::uint64_t rss_kb = peak_rss_kb();
@@ -338,16 +336,10 @@ inline void sample_export_metrics() {
   metrics.set(obs::metric("memory.attr_bytes_allocated"), attr.bytes_allocated);
   metrics.set(obs::metric("memory.attr_bytes_requested"), attr.bytes_requested);
   metrics.set_real(obs::metric("memory.attr_dedup_ratio"), attr.dedup_ratio());
-  metrics.set(obs::metric("convergence.shard_limit"), bgp::kConvergenceShards);
   const double seconds = metrics.value(obs::metric("convergence.seconds"));
-  const double batches = metrics.value(obs::metric("convergence.batches"));
   metrics.set_real(obs::metric("convergence.messages_per_sec"),
                    seconds > 0.0 ? metrics.value(obs::metric("convergence.messages")) / seconds
                                  : 0.0);
-  metrics.set_real(obs::metric("convergence.shard_occupancy_mean"),
-                   batches > 0.0
-                       ? metrics.value(obs::metric("convergence.shard_occupancy_sum")) / batches
-                       : 0.0);
 }
 
 /// The standard bench epilogue: counter snapshot on stdout, plus the

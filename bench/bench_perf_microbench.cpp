@@ -200,12 +200,9 @@ void BM_FabricAnnouncementConvergenceTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_FabricAnnouncementConvergenceTraced);
 
-/// Churn-and-converge loop shared by the serial and sharded variants: a
-/// wider fabric (8 RR clients, 2 upstreams per client) announcing prefix
-/// blocks so each batch spreads across many shards.  The pair's ratio is
-/// the sharded engine's throughput claim; results are bit-identical for
-/// any thread count, so only wall-clock may differ.
-void run_sharded_convergence(benchmark::State& state, int threads) {
+void BM_Convergence(benchmark::State& state) {
+  // Churn-and-converge loop on a wider fabric (8 RR clients, one upstream
+  // each): every iteration announces a 16-prefix block and converges it.
   bgp::Fabric fabric{65000};
   const auto rr = fabric.add_router("RR");
   std::vector<bgp::NeighborId> uplinks;
@@ -217,7 +214,6 @@ void run_sharded_convergence(benchmark::State& state, int threads) {
                                           bgp::NeighborKind::kUpstream,
                                           "up" + std::to_string(i)));
   }
-  fabric.set_threads(threads);
 
   std::uint32_t block = 1;
   for (auto _ : state) {
@@ -232,28 +228,11 @@ void run_sharded_convergence(benchmark::State& state, int threads) {
     ++block;
     benchmark::DoNotOptimize(fabric.run_to_convergence());
   }
-  const auto stats = fabric.convergence_stats();
-  state.SetItemsProcessed(static_cast<std::int64_t>(stats.messages));
-  state.counters["msgs_per_sec"] =
-      benchmark::Counter(static_cast<double>(stats.messages),
-                         benchmark::Counter::kIsRate);
-  state.counters["shard_occupancy_mean"] = stats.mean_shard_occupancy();
+  const auto messages = static_cast<double>(fabric.messages_delivered());
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+  state.counters["msgs_per_sec"] = benchmark::Counter(messages, benchmark::Counter::kIsRate);
 }
-
-// The serial/sharded pair below and the FIB-compile pair time wall clock:
-// with worker threads the main thread's CPU time undercounts the work, so
-// CPU-time rates would credit the parallel variant with speed it lacks.
-void BM_ConvergenceSerial(benchmark::State& state) {
-  // threads=1: the inline drain, same batch algorithm, no pool hand-off.
-  run_sharded_convergence(state, 1);
-}
-BENCHMARK(BM_ConvergenceSerial)->UseRealTime();
-
-void BM_ConvergenceSharded(benchmark::State& state) {
-  // threads=4: per-shard worklists processed across the pool.
-  run_sharded_convergence(state, 4);
-}
-BENCHMARK(BM_ConvergenceSharded)->UseRealTime();
+BENCHMARK(BM_Convergence);
 
 void BM_IgpLinkFlap(benchmark::State& state) {
   // One long-haul circuit failed and restored (each converged and
@@ -580,36 +559,17 @@ void BM_FibFullRebuild(benchmark::State& state) {
 BENCHMARK(BM_FibPatch);
 BENCHMARK(BM_FibFullRebuild);
 
-// --- serial vs sharded FIB compilation --------------------------------------
+// --- full-table FIB compilation ---------------------------------------------
 
-void compile_with_threads(benchmark::State& state, int threads) {
+void BM_FibCompile(benchmark::State& state) {
   const auto leaves = make_full_table(kFullTableSize);
-  const int saved = net::FlatFib::compile_threads();
-  net::FlatFib::set_compile_threads(threads);
   for (auto _ : state) {
     net::FlatFib fib = net::FlatFib::compile(leaves.begin(), leaves.end(), leaves.size());
     benchmark::DoNotOptimize(fib.lookup(net::Ipv4Address{11u << 16}));
   }
-  net::FlatFib::set_compile_threads(saved);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kFullTableSize);
-  state.counters["threads"] = threads;
 }
-
-void BM_FibCompileSerial(benchmark::State& state) {
-  // Full-table compile on one thread: the pre-sharding baseline.
-  compile_with_threads(state, 1);
-}
-
-void BM_FibCompileParallel(benchmark::State& state) {
-  // Same compile sharded over 4 workers; output is byte-identical (the
-  // Fib.ParallelCompileBitIdentical fuzz enforces it), so the delta is pure
-  // speedup.  On a 1-CPU container the workers serialize and this reports
-  // ~parity — see DESIGN §15 for the caveat.
-  compile_with_threads(state, 4);
-}
-
-BENCHMARK(BM_FibCompileSerial)->UseRealTime();
-BENCHMARK(BM_FibCompileParallel)->UseRealTime();
+BENCHMARK(BM_FibCompile);
 
 // --- heap-backed vs arena-backed RIB maps -----------------------------------
 

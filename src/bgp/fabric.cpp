@@ -20,8 +20,8 @@ bool has_ibgp_session(const Router& r, RouterId peer) {
 }
 
 /// splitmix64 finisher over (address, length).  Deliberately not std::hash:
-/// the shard walk is part of the deterministic merge order, so the partition
-/// must be identical across platforms and standard libraries.
+/// the shard walk fixes the delivery order, so the partition must be
+/// identical across platforms and standard libraries.
 std::size_t shard_of(const net::Ipv4Prefix& prefix) noexcept {
   std::uint64_t x = (std::uint64_t{prefix.address().value()} << 8) | prefix.length();
   x += 0x9e3779b97f4a7c15ull;
@@ -42,7 +42,7 @@ void Fabric::trace_event(obs::TraceEventKind kind, std::uint32_t a, std::uint32_
   event.a = a;
   event.b = b;
   event.prefix = prefix;
-  event.queue_depth = static_cast<std::uint32_t>(queue_.size());
+  event.queue_depth = static_cast<std::uint32_t>(batch_pending_ + queue_.size());
   trace_->record(event);
 }
 
@@ -323,82 +323,46 @@ std::string Fabric::convergence_diagnostics(std::size_t pending) const {
   return msg.str();
 }
 
-void Fabric::set_threads(int requested) {
-  const unsigned resolved = util::resolve_thread_count(requested);
-  if (resolved == threads_) return;
-  threads_ = resolved;
-  pool_.reset();  // rebuilt lazily with the new lane count
-}
-
-util::ThreadPool& Fabric::convergence_pool() {
-  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(threads_);
-  return *pool_;
-}
-
-void Fabric::process_emission(const Emission& emission, ShardState& shard) {
-  const bool tracing = trace_ != nullptr;
-  // Stages an event into the shard buffer; `when` and `queue_depth` are
-  // filled in at merge time, where the deterministic order is known.
-  const auto stage = [&](obs::TraceEventKind kind, std::uint32_t a, std::uint32_t b) {
-    if (!tracing) return;
-    obs::TraceEvent event;
-    event.kind = kind;
-    event.a = a;
-    event.b = b;
-    event.prefix = emission.route.prefix;
-    shard.events.push_back(event);
-  };
+void Fabric::deliver(const Emission& emission) {
+  const net::Ipv4Prefix& prefix = emission.route.prefix;
   if (emission.to_neighbor != kNoNeighbor) {
     const NeighborInfo& info = neighbor(emission.to_neighbor);
     if (!router(info.attached_to).session_is_up(SessionKind::kEbgp, emission.to_neighbor)) {
-      ++shard.dropped;  // session went down with the update in flight
-      stage(obs::TraceEventKind::kMessageDropped, emission.from, emission.to_neighbor);
+      ++dropped_;  // session went down with the update in flight
+      trace_event(obs::TraceEventKind::kMessageDropped, emission.from, emission.to_neighbor,
+                  prefix);
       return;
     }
-    ++shard.delivered;
-    stage(emission.withdraw ? obs::TraceEventKind::kExportWithdraw
-                            : obs::TraceEventKind::kExportUpdate,
-          emission.from, emission.to_neighbor);
-    // External neighbors are passive sinks: record the export.  Emissions
-    // shard by prefix, so another shard may hold a different prefix bound
-    // for the same neighbor's map — hence the striped lock.
+    ++delivered_;
+    trace_event(emission.withdraw ? obs::TraceEventKind::kExportWithdraw
+                                  : obs::TraceEventKind::kExportUpdate,
+                emission.from, emission.to_neighbor, prefix);
+    // External neighbors are passive sinks: record the export.
     auto& sink = neighbor_exports_.at(emission.to_neighbor);
-    std::lock_guard<std::mutex> lock{
-        export_locks_[emission.to_neighbor % export_locks_.size()]};
     if (emission.withdraw) {
-      sink.erase(emission.route.prefix);
+      sink.erase(prefix);
     } else {
-      sink[emission.route.prefix] = emission.route;
+      sink[prefix] = emission.route;
     }
-  } else {
-    Router& target = router(emission.to_router);
-    // One lock around the liveness check, the best-route reads and the
-    // handler: the router's maps are shared across every prefix it carries.
-    std::lock_guard<std::mutex> lock{target.delivery_mutex()};
-    if (!target.session_is_up(SessionKind::kIbgp, emission.from)) {
-      ++shard.dropped;  // receiving side tore the session down first
-      stage(obs::TraceEventKind::kMessageDropped, emission.from, emission.to_router);
-      return;
-    }
-    ++shard.delivered;
-    stage(emission.withdraw ? obs::TraceEventKind::kWithdrawDelivered
-                            : obs::TraceEventKind::kUpdateDelivered,
-          emission.from, emission.to_router);
-    std::optional<Route> before;
-    if (tracing) before = capture_best(target, emission.route.prefix);
-    auto emitted = target.handle_ibgp_update(emission.from, emission.withdraw,
-                                             emission.route, &shard.dirty);
-    if (tracing) {
-      const Route* after = target.best_route(emission.route.prefix);
-      const bool changed = before.has_value() != (after != nullptr) ||
-                           (before.has_value() && after != nullptr && !(*before == *after));
-      if (changed) {
-        stage(obs::TraceEventKind::kLocRibChanged, target.id(),
-              after != nullptr ? after->egress : obs::kNoTraceId);
-      }
-    }
-    for (auto& em : emitted) shard.out.push_back(std::move(em));
+    return;
   }
+  Router& target = router(emission.to_router);
+  if (!target.session_is_up(SessionKind::kIbgp, emission.from)) {
+    ++dropped_;  // receiving side tore the session down first
+    trace_event(obs::TraceEventKind::kMessageDropped, emission.from, emission.to_router, prefix);
+    return;
+  }
+  ++delivered_;
+  const std::optional<Route> before =
+      trace_ != nullptr ? capture_best(target, prefix) : std::nullopt;
+  for (auto& em : target.handle_ibgp_update(emission.from, emission.withdraw, emission.route,
+                                            &delta_log_)) {
+    queue_.push_back(std::move(em));
+  }
+  trace_event(emission.withdraw ? obs::TraceEventKind::kWithdrawDelivered
+                                : obs::TraceEventKind::kUpdateDelivered,
+              emission.from, emission.to_router, prefix);
+  if (trace_ != nullptr) trace_rib_change(target, prefix, before);
 }
 
 std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
@@ -408,100 +372,41 @@ std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
                 static_cast<std::uint32_t>(queue_.size()), obs::kNoTraceId);
   }
   const auto start = std::chrono::steady_clock::now();
-  // The decision path's only lazily-filled shared cache: warm every source's
-  // SPF tree now, while single-threaded.  The topology is static for the
-  // whole run (faults happen between runs), so metric() is a pure read
-  // inside the shard fan-out.
-  if (had_work) igp_.warm_spf();
-  util::ThreadPool& pool = convergence_pool();
-  std::vector<ShardState> shards(kConvergenceShards);
-  const bool tracing = trace_ != nullptr;
+  std::vector<std::vector<Emission>> shards(kConvergenceShards);
   std::size_t processed = 0;
-  ConvergenceStats run;
-  run.shard_limit = kConvergenceShards;
+  std::uint64_t batches = 0;
+  std::uint64_t max_batch = 0;
 
   while (!queue_.empty()) {
     const std::size_t batch_size = queue_.size();
     // Batch-atomic budget check: a batch runs in full or the run aborts with
-    // the frontier intact, so exhaustion behaves identically for every
-    // thread count (no partial batch a serial engine could have squeezed in).
+    // the frontier intact.
     if (processed + batch_size > max_messages) {
       throw std::runtime_error(convergence_diagnostics(processed + batch_size));
     }
-    ++run.batches;
-    run.max_batch_messages = std::max(run.max_batch_messages,
-                                      static_cast<std::uint64_t>(batch_size));
-    // One logical tick per batch: a per-message clock would encode shard
-    // interleaving, which is exactly what must not leak into traces.
+    ++batches;
+    max_batch = std::max(max_batch, static_cast<std::uint64_t>(batch_size));
+    // One logical tick per batch: every message of the batch shares it.
     ++logical_time_;
 
-    // Partition the frontier by prefix hash, preserving sequence order
-    // within each shard.  All state a shard touches while processing is
-    // either shard-local, per-prefix (and prefixes never span shards), or
-    // guarded (router mutex / export stripe).
-    for (auto& shard : shards) {
-      shard.work.clear();
-      shard.out.clear();
-      shard.delivered = 0;
-      shard.dropped = 0;
-      shard.events.clear();
-      shard.marks.clear();
-      shard.dirty.clear();
-    }
+    // Walk the frontier shard-major, sequence order within each shard.  The
+    // partition fixes only this order; emissions go straight to the next
+    // frontier and Loc-RIB changes straight to the delta log.
     for (auto& emission : queue_) {
-      shards[shard_of(emission.route.prefix)].work.push_back(std::move(emission));
+      shards[shard_of(emission.route.prefix)].push_back(std::move(emission));
     }
     queue_.clear();
-    std::uint64_t occupied = 0;
-    for (const auto& shard : shards) occupied += shard.work.empty() ? 0 : 1;
-    run.occupied_shard_sum += occupied;
-    run.max_shards_occupied = std::max(run.max_shards_occupied, occupied);
-
-    pool.parallel_for(kConvergenceShards, [&](std::size_t s) {
-      ShardState& shard = shards[s];
-      for (const Emission& emission : shard.work) {
-        process_emission(emission, shard);
-        if (tracing) {
-          shard.marks.emplace_back(static_cast<std::uint32_t>(shard.events.size()),
-                                   static_cast<std::uint32_t>(shard.out.size()));
-        }
-      }
-    });
-
-    // Deterministic merge: walk shards 0..N-1, messages in sequence order,
-    // appending each message's emissions to the next frontier and replaying
-    // its staged events with the queue depth a one-lane walk in this exact
-    // order would have seen (messages still pending in this batch plus the
-    // frontier grown so far).
-    std::size_t remaining = batch_size;
-    for (auto& shard : shards) {
-      delivered_ += shard.delivered;
-      dropped_ += shard.dropped;
-      // Dirty prefixes merge in fixed shard-then-sequence order — the same
-      // discipline as trace events — so the delta log is byte-identical for
-      // any thread count.
-      delta_log_.insert(delta_log_.end(), shard.dirty.begin(), shard.dirty.end());
-      if (!tracing) {
-        for (auto& emission : shard.out) queue_.push_back(std::move(emission));
-        continue;
-      }
-      std::uint32_t event_begin = 0;
-      std::uint32_t out_begin = 0;
-      for (const auto& [event_end, out_end] : shard.marks) {
-        --remaining;
-        for (std::uint32_t i = out_begin; i < out_end; ++i) {
-          queue_.push_back(std::move(shard.out[i]));
-        }
-        const auto depth = static_cast<std::uint32_t>(remaining + queue_.size());
-        for (std::uint32_t i = event_begin; i < event_end; ++i) {
-          shard.events[i].when = logical_time_;
-          shard.events[i].queue_depth = depth;
-          trace_->record(shard.events[i]);
-        }
-        event_begin = event_end;
-        out_begin = out_end;
+    batch_pending_ = batch_size;
+    for (const auto& shard : shards) {
+      for (const Emission& emission : shard) {
+        --batch_pending_;
+        deliver(emission);
       }
     }
+    // Release the batch only once all of it is delivered: its routes keep
+    // their attribute sets live until then, and memory.attr_peak_unique
+    // reports that peak.
+    for (auto& shard : shards) shard.clear();
     processed += batch_size;
     if (delta_log_.size() > kDeltaLogCap) {
       delta_base_ += delta_log_.size();
@@ -513,29 +418,15 @@ std::size_t Fabric::run_to_convergence(std::size_t max_messages) {
     trace_event(obs::TraceEventKind::kConvergeEnd,
                 static_cast<std::uint32_t>(processed), obs::kNoTraceId);
   }
-  run.messages = processed;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   if (processed > 0) {
-    run.runs = 1;
-    convergence_stats_.runs += 1;
-    convergence_stats_.messages += run.messages;
-    convergence_stats_.batches += run.batches;
-    convergence_stats_.shard_limit = kConvergenceShards;
-    convergence_stats_.max_batch_messages =
-        std::max(convergence_stats_.max_batch_messages, run.max_batch_messages);
-    convergence_stats_.max_shards_occupied =
-        std::max(convergence_stats_.max_shards_occupied, run.max_shards_occupied);
-    convergence_stats_.occupied_shard_sum += run.occupied_shard_sum;
-    convergence_stats_.seconds += run.seconds;
     auto& metrics = obs::MetricsRegistry::global();
     metrics.add(obs::metric("convergence.runs"));
-    metrics.add(obs::metric("convergence.messages"), run.messages);
-    metrics.add(obs::metric("convergence.batches"), run.batches);
-    metrics.add(obs::metric("convergence.shard_occupancy_sum"), run.occupied_shard_sum);
-    metrics.raise(obs::metric("convergence.shard_occupancy_max"), run.max_shards_occupied);
-    metrics.raise(obs::metric("convergence.max_batch_messages"), run.max_batch_messages);
-    metrics.add_seconds(obs::metric("convergence.seconds"), run.seconds);
+    metrics.add(obs::metric("convergence.messages"), processed);
+    metrics.add(obs::metric("convergence.batches"), batches);
+    metrics.raise(obs::metric("convergence.max_batch_messages"), max_batch);
+    metrics.add_seconds(
+        obs::metric("convergence.seconds"),
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
   }
   if (on_converged_) on_converged_();
   return processed;

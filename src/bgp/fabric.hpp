@@ -17,12 +17,10 @@
 // time, exactly as a TCP session teardown discards undelivered updates.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -32,39 +30,15 @@
 #include "bgp/router.hpp"
 #include "bgp/types.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vns::bgp {
 
-/// Fixed shard fan-out of the convergence engine.  Deliberately independent
-/// of the thread knob: the shard walk order defines the frontier merge order,
-/// so changing it would change traces.  64 keeps shards busy well past the
-/// thread counts the contract is tested at (1..8) at negligible merge cost.
+/// Fixed shard fan-out of the convergence walk.  Each frontier batch is
+/// bucketed by prefix hash into this many shards and delivered shard-major,
+/// sequence order within a shard.  The partition now fixes only that walk
+/// order — and with it every trace event, emission order and delta-log
+/// entry — so changing it would change traces.
 inline constexpr std::size_t kConvergenceShards = 64;
-
-/// Per-fabric cumulative convergence-engine statistics (reset never; the
-/// fabric is built once per world).  `shard_limit` is the fixed shard count —
-/// it never varies with the thread knob, because the shard walk order defines
-/// the deterministic frontier merge.
-struct ConvergenceStats {
-  std::uint64_t runs = 0;        ///< run_to_convergence calls that found work
-  std::uint64_t messages = 0;    ///< messages consumed (delivered + dropped)
-  std::uint64_t batches = 0;     ///< frontier iterations across all runs
-  std::uint64_t shard_limit = 0;      ///< compile-time shard count
-  std::uint64_t max_batch_messages = 0;   ///< largest single batch
-  std::uint64_t max_shards_occupied = 0;  ///< peak non-empty shards in a batch
-  std::uint64_t occupied_shard_sum = 0;   ///< Σ non-empty shards per batch
-  double seconds = 0.0;          ///< wall-clock inside run_to_convergence
-
-  [[nodiscard]] double messages_per_sec() const noexcept {
-    return seconds > 0.0 ? static_cast<double>(messages) / seconds : 0.0;
-  }
-  [[nodiscard]] double mean_shard_occupancy() const noexcept {
-    return batches > 0 ? static_cast<double>(occupied_shard_sum) /
-                             static_cast<double>(batches)
-                       : 0.0;
-  }
-};
 
 class Fabric {
  public:
@@ -149,22 +123,19 @@ class Fabric {
   [[nodiscard]] bool router_is_down(RouterId id) const { return router_down_.at(id); }
 
   /// Processes queued updates until quiescent, as a sequence of frontier
-  /// batches: each iteration takes everything currently queued, partitions
-  /// it by prefix hash into a fixed number of shards, processes the shards
-  /// across the fabric's thread pool (per-prefix RIB updates are
-  /// independent; per-router delivery serializes on the router's mutex), and
-  /// merges the emitted frontier in stable shard-then-sequence order into
-  /// the next batch.  The shard count and merge order never depend on the
-  /// thread knob, so results — Loc-RIBs, exports, traces — are bit-identical
-  /// for any `set_threads` value, including 1 (which runs the same batch
-  /// algorithm inline).  Returns the number of messages consumed; throws
-  /// std::runtime_error (with diagnostics: messages delivered, queue depth,
-  /// hottest queued prefixes) if the next batch would exceed `max_messages`
-  /// (a non-converging configuration).  The budget check is batch-atomic —
-  /// a batch either runs in full or not at all — so budget exhaustion is
-  /// also identical for every thread count.  Every successful return, even
-  /// one that processed no message, ends by calling the on-converged
-  /// callback; a run that throws does not call it.
+  /// batches: each iteration takes everything currently queued, buckets it
+  /// by prefix hash into kConvergenceShards shards and delivers the shards
+  /// in order 0..N-1, each in sequence order, on the calling thread;
+  /// emissions form the next batch.  The partition fixes only this walk
+  /// order, so traces, emissions and the RIB-delta log are a pure function
+  /// of the starting queue.  Returns the number of messages consumed;
+  /// throws std::runtime_error (with diagnostics: messages delivered, queue
+  /// depth, hottest queued prefixes) if the next batch would exceed
+  /// `max_messages` (a non-converging configuration).  The budget check is
+  /// batch-atomic — a batch either runs in full or not at all, leaving the
+  /// frontier intact.  Every successful return, even one that processed no
+  /// message, ends by calling the on-converged callback; a run that throws
+  /// does not call it.
   std::size_t run_to_convergence(std::size_t max_messages = 20'000'000);
 
   /// The post-convergence hook: the owner of the fabric's data plane
@@ -176,32 +147,20 @@ class Fabric {
     on_converged_ = std::move(callback);
   }
 
-  /// Convergence worker-lane count: `requested` resolves through
-  /// util::resolve_thread_count (>0 as-is, else VNS_THREADS, else hardware).
-  /// Purely a throughput knob — see run_to_convergence for the determinism
-  /// contract.
-  void set_threads(int requested);
-  [[nodiscard]] unsigned threads() const noexcept { return threads_; }
-
   [[nodiscard]] bool converged() const noexcept { return queue_.empty(); }
   [[nodiscard]] std::size_t messages_delivered() const noexcept { return delivered_; }
   /// Messages discarded in flight because their target session was down.
   [[nodiscard]] std::size_t messages_dropped() const noexcept { return dropped_; }
-  /// Cumulative engine statistics across this fabric's convergence runs.
-  [[nodiscard]] const ConvergenceStats& convergence_stats() const noexcept {
-    return convergence_stats_;
-  }
 
   // --- observability --------------------------------------------------------
   /// Attaches (or detaches, with nullptr) a trace sink.  The fabric stamps
   /// every recorded event with its logical clock — one tick per external
   /// announce/withdraw/originate, per fault operation, and per convergence
-  /// *batch* (every message of one frontier iteration shares a tick; a
-  /// per-message clock would depend on shard interleaving) — so traces are
-  /// reproducible byte-for-byte for any thread count.  Every event's
-  /// queue_depth is stamped *after* the triggering emissions are enqueued
-  /// (announce/withdraw/fault events used to under-report by stamping
-  /// first), replayed in deterministic merge order for batched deliveries.
+  /// *batch* (every message of one frontier iteration shares a tick) — so
+  /// traces are reproducible byte-for-byte.  Every event's queue_depth is
+  /// stamped *after* the triggering emissions are enqueued (announce/
+  /// withdraw/fault events used to under-report by stamping first); a
+  /// delivery's depth also counts its batch's undelivered messages.
   /// With no sink attached the only cost is a null check per event site.
   void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace() const noexcept { return trace_; }
@@ -216,11 +175,10 @@ class Fabric {
     /// Cursor to pass to the next rib_deltas_since call.
     std::uint64_t next_cursor = 0;
     /// Loc-RIB changes since `cursor`, in deterministic order (direct
-    /// mutations in call order; convergence deliveries in shard-then-
-    /// sequence merge order, same as trace events).  May repeat a
-    /// (router, prefix) pair; consumers deduplicate.  The span aliases the
-    /// fabric's internal log: it is invalidated by the next mutating
-    /// fabric call.
+    /// mutations in call order; convergence deliveries in shard-major walk
+    /// order, same as trace events).  May repeat a (router, prefix) pair;
+    /// consumers deduplicate.  The span aliases the fabric's internal log:
+    /// it is invalidated by the next mutating fabric call.
     std::span<const RibDelta> deltas;
   };
 
@@ -245,25 +203,6 @@ class Fabric {
     std::vector<NeighborId> ebgp_neighbors;
   };
 
-  /// One shard's worklist and outputs for a single frontier batch.  Shards
-  /// never share mutable state with each other: emissions, tallies and
-  /// staged trace events stay shard-local until the deterministic merge.
-  struct ShardState {
-    std::vector<Emission> work;
-    std::vector<Emission> out;  ///< frontier this shard emitted, in order
-    std::size_t delivered = 0;
-    std::size_t dropped = 0;
-    /// Staged trace events (when/queue_depth filled in at merge time) plus
-    /// per-message high-water marks (events_end, out_end) so the merge can
-    /// replay exactly the depths a one-lane run would have stamped.
-    std::vector<obs::TraceEvent> events;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> marks;
-    /// Loc-RIB changes this shard's deliveries caused, staged shard-locally
-    /// and appended to delta_log_ in shard order at merge time (the same
-    /// discipline that keeps trace events thread-count-identical).
-    std::vector<RibDelta> dirty;
-  };
-
   void enqueue(std::vector<Emission> emissions);
   /// Every live router's SPF distance row (empty for a router that is
   /// down), copied before a fault touches the IGP.
@@ -274,7 +213,8 @@ class Fabric {
   [[nodiscard]] std::string convergence_diagnostics(std::size_t pending) const;
 
   /// Records a trace event stamped with the logical clock and current queue
-  /// depth; no-op (one branch) when no sink is attached.
+  /// depth (queued messages plus the batch's undelivered ones); no-op (one
+  /// branch) when no sink is attached.
   void trace_event(obs::TraceEventKind kind, std::uint32_t a, std::uint32_t b,
                    const net::Ipv4Prefix& prefix = net::Ipv4Prefix{});
   /// Copies `target`'s current best route for `prefix` (tracing only).
@@ -283,24 +223,21 @@ class Fabric {
   /// Records kLocRibChanged when the best route differs from `before`.
   void trace_rib_change(const Router& target, const net::Ipv4Prefix& prefix,
                         const std::optional<Route>& before);
-  /// Delivers one queued emission inside a shard: export-sink writes take a
-  /// striped neighbor lock, router deliveries take the router's mutex.
-  void process_emission(const Emission& emission, ShardState& shard);
-  /// Lazily (re)builds the convergence pool for the current thread knob.
-  [[nodiscard]] util::ThreadPool& convergence_pool();
+  /// Delivers one emission of the current batch: records an export, hands
+  /// an update to its target router, or drops it if the session is down.
+  void deliver(const Emission& emission);
 
   net::Asn local_asn_;
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<NeighborInfo> neighbors_;
   IgpTopology igp_;
   std::deque<Emission> queue_;
+  /// Messages of the running batch not yet delivered (0 between batches).
+  std::size_t batch_pending_ = 0;
   std::size_t delivered_ = 0;
   std::size_t dropped_ = 0;
   /// Export sink per neighbor (what the neighbor has been sent).
   std::vector<std::unordered_map<net::Ipv4Prefix, Route>> neighbor_exports_;
-  /// Striped locks for the export sinks: emissions shard by prefix, so two
-  /// shards can write the same neighbor's sink concurrently.
-  std::array<std::mutex, 16> export_locks_;
   std::vector<bool> router_down_;
   std::unordered_map<RouterId, DownedRouter> downed_routers_;
   obs::TraceSink* trace_ = nullptr;  ///< not owned; null = tracing disabled
@@ -312,9 +249,6 @@ class Fabric {
   static constexpr std::size_t kDeltaLogCap = std::size_t{1} << 20;
   std::vector<RibDelta> delta_log_;
   std::uint64_t delta_base_ = 0;  ///< log position of delta_log_[0]
-  unsigned threads_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< built on first convergence run
-  ConvergenceStats convergence_stats_;
 };
 
 }  // namespace vns::bgp

@@ -116,12 +116,6 @@ std::vector<RouterId> IgpTopology::up_neighbors(RouterId id) const {
   return out;
 }
 
-void IgpTopology::warm_spf() const {
-  for (RouterId source = 0; source < adjacency_.size(); ++source) {
-    if (!computed_[source]) run_dijkstra(source);
-  }
-}
-
 void IgpTopology::run_dijkstra(RouterId source) const {
   const std::size_t n = adjacency_.size();
   auto& dist = distance_[source];

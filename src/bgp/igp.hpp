@@ -61,12 +61,6 @@ class IgpTopology {
   /// for every i.  Valid until the next topology change.
   [[nodiscard]] std::span<const IgpMetric> distances(RouterId from) const;
 
-  /// Fills every source's SPF cache that is not already computed.  The
-  /// sharded convergence engine calls this before fanning a batch across
-  /// threads: the topology is static during a run, so after warming,
-  /// metric() and shortest_path() are pure reads and need no locking.
-  void warm_spf() const;
-
   /// Routers on the shortest path from `from` to `to`, inclusive of both
   /// endpoints; empty when unreachable.  Ties break toward lower router ids,
   /// deterministically.

@@ -109,9 +109,8 @@ std::vector<const Route*> Router::candidates(const net::Ipv4Prefix& prefix,
   // Enumerate in configured-session order, never Adj-RIB-In map order: the
   // MED rung of `prefer` only compares within one neighbor AS, so the pick
   // can depend on enumeration order, and the map's bucket order depends on
-  // which delivery first created each session slot — under the sharded
-  // convergence engine that would vary with scheduling.  Session config
-  // order is fixed at topology build time for every thread count.
+  // which delivery first created each session slot, an accident of message
+  // order.  Session config order is fixed at topology build time.
   const auto consider = [&](const SessionKey& key) {
     const Route* route = accepted_from(key, prefix);
     if (route == nullptr) return;

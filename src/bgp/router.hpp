@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -122,9 +121,9 @@ class Router {
  public:
   /// Per-prefix RIB map backed by this router's bump arena: every node a
   /// convergence run inserts or erases goes through the router-local
-  /// freelists instead of the global heap (see util::Arena).  The RIBs are
-  /// only mutated under delivery_mutex_, which is exactly the arena's
-  /// single-owner contract.
+  /// freelists instead of the global heap (see util::Arena).  Only the
+  /// thread driving the fabric mutates the RIBs, which is exactly the
+  /// arena's single-owner contract.
   template <typename T>
   using PrefixMap =
       std::unordered_map<net::Ipv4Prefix, T, std::hash<net::Ipv4Prefix>,
@@ -228,15 +227,6 @@ class Router {
   [[nodiscard]] util::Arena::Stats rib_arena_stats() const noexcept {
     return rib_arena_.stats();
   }
-
-  /// Serializes concurrent deliveries to this router.  The sharded
-  /// convergence engine partitions work by prefix, so two shards may deliver
-  /// different prefixes to the same router at once; the RIB maps are shared
-  /// containers, so each delivery (handler plus any best-route reads around
-  /// it) must hold this.  Per-prefix handler effects commute — every map
-  /// iteration in this class either sorts first or enumerates the fixed
-  /// session vectors — so lock-acquisition order cannot leak into results.
-  [[nodiscard]] std::mutex& delivery_mutex() const noexcept { return delivery_mutex_; }
 
  private:
   /// One Adj-RIB-In slot: the route exactly as received, plus the cached
@@ -346,7 +336,6 @@ class Router {
   /// tie set its scan compared (empty when only a candidate dropped for an
   /// unreachable next hop put it here).  handle_igp_change revisits a subset.
   PrefixMap<TieSet> igp_dependent_{rib_alloc<TieSet>()};
-  mutable std::mutex delivery_mutex_;
 };
 
 /// Route equality for implicit-withdraw suppression: attributes + forwarding

@@ -116,12 +116,6 @@ std::unique_ptr<Workbench> Workbench::build(const WorkbenchConfig& config) {
   auto bench = std::unique_ptr<Workbench>(new Workbench(config));
   // Attach the sink before the feed storm so traces cover initial convergence.
   if (config.trace != nullptr) bench->vns_->fabric().set_trace(config.trace);
-  // Same knob as the campaigns; convergence results are bit-identical for
-  // any value, so this is purely a build-time throughput lever.
-  bench->vns_->fabric().set_threads(config.threads);
-  // Likewise for FIB compilation: sharded across threads, byte-identical
-  // output for any count.
-  net::FlatFib::set_compile_threads(config.threads);
   if (config.stream_generation) {
     // Streamed pipeline: each origin's batch flows topology -> GeoIP ->
     // announcements without the full table ever existing.  One RNG across

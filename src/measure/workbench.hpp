@@ -40,8 +40,9 @@ struct WorkbenchConfig {
   /// US-centred Tier-1 carries Europe-to-Europe traffic across its home
   /// backbone (over the Atlantic and back) instead of handing it off locally.
   bool model_us_backbone_detour = true;
-  /// Worker count for sharded campaigns (run_stream_campaign,
-  /// run_train_campaign); <= 0 resolves VNS_THREADS, then hardware.
+  /// Not read by the library: convergence and FIB compilation run on one
+  /// lane, and campaigns take their worker count as an argument.  Kept only
+  /// because existing callers still assign it.
   int threads = 0;
   /// Optional trace sink (not owned; must outlive the Workbench), attached
   /// to the fabric *before* feed_routes so the initial announcement storm is

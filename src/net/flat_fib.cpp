@@ -1,25 +1,16 @@
 #include "net/flat_fib.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <numeric>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vns::net {
 
 namespace {
-
-/// Compile-parallelism knob (see FlatFib::set_compile_threads).
-std::atomic<int> g_compile_threads{0};
-
-/// Below this leaf count the sharded fill costs more in bucketing than it
-/// saves; the serial path is used regardless of the thread knob.
-constexpr std::size_t kParallelCompileThreshold = 4096;
 
 /// Moves the registry's live-footprint cells from one state of an instance
 /// to another: a compile moves from empty, a patch from its pre-patch state
@@ -33,36 +24,6 @@ void move_footprint(const FlatFibStats& from, const FlatFibStats& to) noexcept {
 }
 
 }  // namespace
-
-void FlatFib::set_compile_threads(int threads) noexcept {
-  g_compile_threads.store(threads, std::memory_order_relaxed);
-}
-
-int FlatFib::compile_threads() noexcept {
-  return g_compile_threads.load(std::memory_order_relaxed);
-}
-
-std::uint64_t FlatFib::layout_digest() const noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  const auto mix = [&hash](std::uint64_t word) {
-    hash ^= word;
-    hash *= 0x100000001b3ULL;
-  };
-  mix(root_.size());
-  for (const std::uint32_t slot : root_) mix(slot);
-  mix(tables_.size());
-  for (const auto& table : tables_)
-    for (const std::uint32_t slot : table) mix(slot);
-  mix(leaves_.size());
-  for (const Leaf& leaf : leaves_) {
-    mix(leaf.prefix.address().value());
-    mix(leaf.prefix.length());
-    mix(leaf.value);
-  }
-  mix(exact_.size());
-  for (const std::uint32_t index : exact_) mix(index);
-  return hash;
-}
 
 FlatFib::~FlatFib() { release_footprint(); }
 
@@ -131,63 +92,56 @@ void FlatFib::finish_compile() {
     return la.prefix.address().value() < lb.prefix.address().value();
   });
 
-  const unsigned threads = util::resolve_thread_count(compile_threads());
-  if (threads > 1 && leaves_.size() >= kParallelCompileThreshold) {
-    compile_shards(order, threads);
-  } else {
-    // Allocates a spill table whose every slot starts as the parent slot's
-    // current resolution, so addresses outside the longer prefix keep
-    // resolving to the shorter covering one.
-    const auto spawn_table = [this](std::uint32_t backfill) -> std::uint32_t {
-      tables_.emplace_back();
-      tables_.back().fill(backfill);
-      return static_cast<std::uint32_t>(tables_.size() - 1) | kTableBit;
-    };
+  // Allocates a spill table whose every slot starts as the parent slot's
+  // current resolution, so addresses outside the longer prefix keep
+  // resolving to the shorter covering one.
+  const auto spawn_table = [this](std::uint32_t backfill) -> std::uint32_t {
+    tables_.emplace_back();
+    tables_.back().fill(backfill);
+    return static_cast<std::uint32_t>(tables_.size() - 1) | kTableBit;
+  };
 
-    for (const std::uint32_t index : order) {
-      const Leaf& leaf = leaves_[index];
-      const std::uint32_t addr = leaf.prefix.address().value();
-      const std::uint8_t len = leaf.prefix.length();
-      if (len <= 16) {
-        // No spill tables exist yet under a /<=16 range: tables are only
-        // spawned by longer prefixes, which all sort after this one.
-        const std::uint32_t first = addr >> 16;
-        const std::uint32_t count = 1u << (16 - len);
-        std::fill_n(root_.begin() + first, count, index);
-      } else if (len <= 24) {
-        const std::uint32_t rslot = addr >> 16;
-        if (!(root_[rslot] & kTableBit)) {
-          const std::uint32_t table = spawn_table(root_[rslot]);
-          root_[rslot] = table;
-        }
-        auto& table = tables_[root_[rslot] & kIndexMask];
-        const std::uint32_t first = (addr >> 8) & 0xffu;
-        const std::uint32_t count = 1u << (24 - len);
-        std::fill_n(table.begin() + first, count, index);
-      } else {
-        const std::uint32_t rslot = addr >> 16;
-        if (!(root_[rslot] & kTableBit)) {
-          const std::uint32_t table = spawn_table(root_[rslot]);
-          root_[rslot] = table;
-        }
-        const std::uint32_t mid_table = root_[rslot] & kIndexMask;
-        const std::uint32_t mslot = (addr >> 8) & 0xffu;
-        if (!(tables_[mid_table][mslot] & kTableBit)) {
-          const std::uint32_t table = spawn_table(tables_[mid_table][mslot]);
-          tables_[mid_table][mslot] = table;
-        }
-        auto& table = tables_[tables_[mid_table][mslot] & kIndexMask];
-        const std::uint32_t first = addr & 0xffu;
-        const std::uint32_t count = 1u << (32 - len);
-        std::fill_n(table.begin() + first, count, index);
+  for (const std::uint32_t index : order) {
+    const Leaf& leaf = leaves_[index];
+    const std::uint32_t addr = leaf.prefix.address().value();
+    const std::uint8_t len = leaf.prefix.length();
+    if (len <= 16) {
+      // No spill tables exist yet under a /<=16 range: tables are only
+      // spawned by longer prefixes, which all sort after this one.
+      const std::uint32_t first = addr >> 16;
+      const std::uint32_t count = 1u << (16 - len);
+      std::fill_n(root_.begin() + first, count, index);
+    } else if (len <= 24) {
+      const std::uint32_t rslot = addr >> 16;
+      if (!(root_[rslot] & kTableBit)) {
+        const std::uint32_t table = spawn_table(root_[rslot]);
+        root_[rslot] = table;
       }
+      auto& table = tables_[root_[rslot] & kIndexMask];
+      const std::uint32_t first = (addr >> 8) & 0xffu;
+      const std::uint32_t count = 1u << (24 - len);
+      std::fill_n(table.begin() + first, count, index);
+    } else {
+      const std::uint32_t rslot = addr >> 16;
+      if (!(root_[rslot] & kTableBit)) {
+        const std::uint32_t table = spawn_table(root_[rslot]);
+        root_[rslot] = table;
+      }
+      const std::uint32_t mid_table = root_[rslot] & kIndexMask;
+      const std::uint32_t mslot = (addr >> 8) & 0xffu;
+      if (!(tables_[mid_table][mslot] & kTableBit)) {
+        const std::uint32_t table = spawn_table(tables_[mid_table][mslot]);
+        tables_[mid_table][mslot] = table;
+      }
+      auto& table = tables_[tables_[mid_table][mslot] & kIndexMask];
+      const std::uint32_t first = addr & 0xffu;
+      const std::uint32_t count = 1u << (32 - len);
+      std::fill_n(table.begin() + first, count, index);
     }
   }
-
-  // Spawn order differs between the serial and sharded fills (and between
-  // shard counts); renumbering into canonical DFS order erases that, so the
-  // compiled arrays are byte-identical for any thread count.
-  canonicalize_tables();
+  // Drop the fill's growth slack: the footprint below counts capacity, and
+  // a compiled table only grows again when patch() inserts.
+  tables_.shrink_to_fit();
 
   // Exact-match index: leaf indices sorted by (address, length) so patch()
   // can distinguish payload updates from fresh inserts in O(log n).
@@ -213,115 +167,6 @@ void FlatFib::finish_compile() {
   metrics.add(obs::metric("memory.fib.full_rebuilds"));
   metrics.add_seconds(obs::metric("memory.fib.full_build_seconds"), stats_.build_seconds);
   move_footprint(FlatFibStats{}, stats_);
-}
-
-void FlatFib::compile_shards(const std::vector<std::uint32_t>& order, unsigned threads) {
-  constexpr std::uint32_t kShardBits = 6;
-  constexpr std::uint32_t kShardCount = 1u << kShardBits;
-  constexpr std::uint32_t kSlotShift = 16 - kShardBits;  // 1024 root slots/shard
-
-  // Bucket the global insertion order per shard.  Shard boundaries are fixed
-  // root-index ranges, so the partition never depends on the worker count.
-  // A /len<=16 leaf covers a contiguous root range and may span several
-  // shards; it is replayed in each with its fill clipped to the shard — per
-  // shard the replayed subsequence is exactly the serial subsequence that
-  // touches that shard's slots, in the same order, so every slot sees the
-  // same sequence of writes as the serial fill.
-  std::vector<std::vector<std::uint32_t>> buckets(kShardCount);
-  for (const std::uint32_t index : order) {
-    const Leaf& leaf = leaves_[index];
-    const std::uint32_t addr = leaf.prefix.address().value();
-    const std::uint8_t len = leaf.prefix.length();
-    const std::uint32_t first = addr >> 16;
-    const std::uint32_t last = len <= 16 ? first + (1u << (16 - len)) - 1 : first;
-    for (std::uint32_t s = first >> kSlotShift; s <= last >> kSlotShift; ++s)
-      buckets[s].push_back(index);
-  }
-
-  std::vector<std::vector<std::array<std::uint32_t, 256>>> shard_tables(kShardCount);
-  util::parallel_for(kShardCount, static_cast<int>(threads), [&](std::size_t shard) {
-    const std::uint32_t lo = static_cast<std::uint32_t>(shard) << kSlotShift;
-    const std::uint32_t hi = lo + (1u << kSlotShift);
-    auto& local = shard_tables[shard];
-    const auto spawn_local = [&local](std::uint32_t backfill) -> std::uint32_t {
-      local.emplace_back();
-      local.back().fill(backfill);
-      return static_cast<std::uint32_t>(local.size() - 1) | kTableBit;
-    };
-    for (const std::uint32_t index : buckets[shard]) {
-      const Leaf& leaf = leaves_[index];
-      const std::uint32_t addr = leaf.prefix.address().value();
-      const std::uint8_t len = leaf.prefix.length();
-      if (len <= 16) {
-        const std::uint32_t first = std::max(addr >> 16, lo);
-        const std::uint32_t last = std::min((addr >> 16) + (1u << (16 - len)), hi);
-        std::fill(root_.begin() + first, root_.begin() + last, index);
-      } else if (len <= 24) {
-        const std::uint32_t rslot = addr >> 16;
-        if (!(root_[rslot] & kTableBit)) root_[rslot] = spawn_local(root_[rslot]);
-        auto& table = local[root_[rslot] & kIndexMask];
-        std::fill_n(table.begin() + ((addr >> 8) & 0xffu), 1u << (24 - len), index);
-      } else {
-        const std::uint32_t rslot = addr >> 16;
-        if (!(root_[rslot] & kTableBit)) root_[rslot] = spawn_local(root_[rslot]);
-        const std::uint32_t mid = root_[rslot] & kIndexMask;
-        const std::uint32_t mslot = (addr >> 8) & 0xffu;
-        if (!(local[mid][mslot] & kTableBit))
-          local[mid][mslot] = spawn_local(local[mid][mslot]);
-        auto& table = local[local[mid][mslot] & kIndexMask];
-        std::fill_n(table.begin() + (addr & 0xffu), 1u << (32 - len), index);
-      }
-    }
-  });
-
-  // Stitch the shard-local tables into tables_ in fixed shard order; local
-  // refs (stored with kTableBit) become global by adding the shard offset.
-  // Refs only live in the shard's own root range and in its mid tables.
-  std::vector<std::uint32_t> offsets(kShardCount, 0);
-  std::uint32_t total = 0;
-  for (std::uint32_t s = 0; s < kShardCount; ++s) {
-    offsets[s] = total;
-    total += static_cast<std::uint32_t>(shard_tables[s].size());
-  }
-  tables_.reserve(total);
-  for (std::uint32_t s = 0; s < kShardCount; ++s) {
-    const std::uint32_t offset = offsets[s];
-    const std::uint32_t lo = s << kSlotShift;
-    const std::uint32_t hi = lo + (1u << kSlotShift);
-    for (std::uint32_t r = lo; r < hi; ++r)
-      if (root_[r] & kTableBit) root_[r] = ((root_[r] & kIndexMask) + offset) | kTableBit;
-    for (auto& table : shard_tables[s]) {
-      for (auto& slot : table)
-        if (slot & kTableBit) slot = ((slot & kIndexMask) + offset) | kTableBit;
-      tables_.push_back(table);
-    }
-    shard_tables[s] = {};
-  }
-}
-
-void FlatFib::canonicalize_tables() {
-  if (tables_.empty()) return;
-  // Fresh compiles reference every table from exactly one parent slot, so a
-  // DFS from the root (ascending root slot; mid table before its children)
-  // visits each exactly once and defines the canonical numbering.
-  std::vector<std::uint32_t> remap(tables_.size(), kEmpty);
-  std::uint32_t next = 0;
-  for (const std::uint32_t rslot : root_) {
-    if (!(rslot & kTableBit)) continue;
-    const std::uint32_t mid = rslot & kIndexMask;
-    remap[mid] = next++;
-    for (const std::uint32_t slot : tables_[mid])
-      if (slot & kTableBit) remap[slot & kIndexMask] = next++;
-  }
-  assert(next == tables_.size());
-  std::vector<std::array<std::uint32_t, 256>> reordered(tables_.size());
-  for (std::size_t i = 0; i < tables_.size(); ++i) reordered[remap[i]] = tables_[i];
-  tables_ = std::move(reordered);
-  for (auto& slot : root_)
-    if (slot & kTableBit) slot = remap[slot & kIndexMask] | kTableBit;
-  for (auto& table : tables_)
-    for (auto& slot : table)
-      if (slot & kTableBit) slot = remap[slot & kIndexMask] | kTableBit;
 }
 
 std::size_t FlatFib::exact_position(const Ipv4Prefix& prefix) const noexcept {

@@ -134,20 +134,6 @@ class FlatFib {
   [[nodiscard]] std::size_t entry_count() const noexcept { return leaves_.size(); }
   [[nodiscard]] const FlatFibStats& stats() const noexcept { return stats_; }
 
-  /// Process-wide compile-parallelism knob: the worker count used by
-  /// finish_compile's sharded fill.  0 (the default) resolves through
-  /// util::resolve_thread_count; 1 forces the serial path.  Output is
-  /// bit-identical for every value (enforced by the Fib bit-identity fuzz),
-  /// so this is purely a speed knob.
-  static void set_compile_threads(int threads) noexcept;
-  [[nodiscard]] static int compile_threads() noexcept;
-
-  /// FNV-1a digest over every compiled array (root slots, spill tables,
-  /// leaves, exact index).  Two instances with equal digests have
-  /// byte-identical layouts — the bit-identity contract of the parallel
-  /// compile is asserted through this.
-  [[nodiscard]] std::uint64_t layout_digest() const noexcept;
-
  private:
   // Slot encoding: high bit set => spill-table index in the low 31 bits;
   // kEmpty => no covering prefix; otherwise a leaf index.
@@ -159,15 +145,6 @@ class FlatFib {
   /// Compiles leaves_ (already populated) into the slot arrays and
   /// registers the footprint; shared by every compile entry point.
   void finish_compile();
-  /// Parallel slot fill: root index space split into 64 fixed shards, each
-  /// worker replaying the insertion-order subsequence that touches its
-  /// shard.  `order` is the global (length, address) insertion order.
-  void compile_shards(const std::vector<std::uint32_t>& order, unsigned threads);
-  /// Renumbers spill tables into canonical DFS order (ascending root slot,
-  /// mid table before its third-level children).  Run after both the serial
-  /// and sharded fills, it makes the compiled arrays independent of table
-  /// spawn order — the keystone of the any-thread-count bit-identity.
-  void canonicalize_tables();
   /// Position in exact_ where `prefix` lives or would be inserted.
   [[nodiscard]] std::size_t exact_position(const Ipv4Prefix& prefix) const noexcept;
   /// Writes `index` (a leaf of length `len`) into one slot subtree:

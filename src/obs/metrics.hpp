@@ -125,19 +125,14 @@ inline constexpr MetricDef kMetrics[] = {
     {Block::kFib, "slots_touched", Kind::kCounter, Unit::kCount},
     {Block::kFib, "full_build_seconds", Kind::kCounter, Unit::kSeconds},
     {Block::kFib, "patch_seconds", Kind::kCounter, Unit::kSeconds},
-    // The sharded convergence engine, summed over every fabric's runs.  The
-    // per-second rate, the mean occupancy and the shard limit are sampled at
-    // export.  igp_redecisions counts the (router, prefix) decisions IGP
+    // The convergence engine, summed over every fabric's runs.  The
+    // per-second rate is sampled at export.  igp_redecisions counts the (router, prefix) decisions IGP
     // changes re-ran: only those whose hot-potato tie order moved, or all
     // IGP-dependent ones when reachability changed.
     {Block::kConvergence, "runs", Kind::kCounter, Unit::kCount},
     {Block::kConvergence, "messages", Kind::kCounter, Unit::kCount},
     {Block::kConvergence, "batches", Kind::kCounter, Unit::kCount},
     {Block::kConvergence, "messages_per_sec", Kind::kGauge, Unit::kPerSecond},
-    {Block::kConvergence, "shard_limit", Kind::kGauge, Unit::kCount},
-    {Block::kConvergence, "shard_occupancy_sum", Kind::kCounter, Unit::kCount},
-    {Block::kConvergence, "shard_occupancy_mean", Kind::kGauge, Unit::kRatio},
-    {Block::kConvergence, "shard_occupancy_max", Kind::kGauge, Unit::kCount},
     {Block::kConvergence, "max_batch_messages", Kind::kGauge, Unit::kCount},
     {Block::kConvergence, "seconds", Kind::kCounter, Unit::kSeconds},
     {Block::kConvergence, "igp_redecisions", Kind::kCounter, Unit::kCount},

@@ -9,10 +9,10 @@
 // frontier batch shares its batch's tick), never wall-clock.  `queue_depth`
 // is always stamped *after* the event's own emissions are enqueued (for
 // in-batch events: messages remaining in the batch plus the next frontier
-// so far).  The sharded convergence engine replays each batch's staged
-// events in deterministic shard-then-sequence order, so a trace is
-// bit-identical across runs and across any `--threads` value — the PR 1
-// determinism contract extends to observability.
+// so far).  The convergence engine delivers each batch in a fixed
+// shard-major walk order, so a trace is bit-identical across runs and
+// across any `--threads` value — the campaigns' determinism contract
+// extends to observability.
 //
 // Cost model: a fabric with no sink attached pays exactly one null-pointer
 // test per message (verified by BM_FabricAnnouncementConvergence[Traced] in

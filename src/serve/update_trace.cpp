@@ -303,6 +303,7 @@ std::optional<UpdateTrace> load_trace(std::istream& in, const core::VnsNetwork* 
                                       std::string* error) {
   UpdateTrace trace;
   bool saw_header = false;
+  std::uint64_t declared_events = 0;
   std::string line;
   std::size_t line_number = 0;
   const auto reject = [&](std::string_view why) -> std::optional<UpdateTrace> {
@@ -317,10 +318,14 @@ std::optional<UpdateTrace> load_trace(std::istream& in, const core::VnsNetwork* 
     if (*type == "update_trace") {
       if (saw_header) return reject("second header");
       saw_header = true;
+      const auto version = scan_number<std::uint64_t>(line, "version");
       const auto scale = scan_string(line, "scale");
       const auto seed = scan_number<std::uint64_t>(line, "seed");
       const auto batches = scan_number<std::uint64_t>(line, "batches");
-      if (!scale || !seed || !batches) return reject("malformed header");
+      const auto events = scan_number<std::uint64_t>(line, "events");
+      if (!version || !scale || !seed || !batches || !events) return reject("malformed header");
+      if (*version != 1) return reject("unsupported version " + std::to_string(*version));
+      declared_events = *events;
       trace.scale = *scale;
       trace.seed = *seed;
       trace.batches = *batches;
@@ -389,6 +394,13 @@ std::optional<UpdateTrace> load_trace(std::istream& in, const core::VnsNetwork* 
   }
   if (!saw_header) {
     if (error != nullptr) *error = "no update_trace header";
+    return std::nullopt;
+  }
+  if (trace.events.size() != declared_events) {
+    if (error != nullptr) {
+      *error = "header declares " + std::to_string(declared_events) + " events, trace has " +
+               std::to_string(trace.events.size());
+    }
     return std::nullopt;
   }
   for (const UpdateEvent& event : trace.events) {

@@ -84,9 +84,10 @@ void save_trace(const UpdateTrace& trace, std::ostream& out);
 [[nodiscard]] std::string trace_to_jsonl(const UpdateTrace& trace);
 
 /// Parses save_trace output.  Returns std::nullopt on malformed input
-/// (missing header, unknown op, bad field, a number that does not fit its
-/// field) and, when `world` is given, on an event naming a session, PoP,
-/// upstream or link the world does not have.  `error`, when non-null, then
+/// (missing header, a version other than 1, unknown op, bad field, a number
+/// that does not fit its field, an event count other than the header's)
+/// and, when `world` is given, on an event naming a session, PoP, upstream
+/// or link the world does not have.  `error`, when non-null, then
 /// receives the offending line's number and what is wrong with it.
 [[nodiscard]] std::optional<UpdateTrace> load_trace(std::istream& in,
                                                     const core::VnsNetwork* world = nullptr,

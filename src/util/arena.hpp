@@ -16,9 +16,8 @@
 // e.g. hash-bucket arrays) pass through to operator new/delete and are
 // only *accounted* here.
 //
-// Concurrency: none.  Each arena is owned by one shard — in practice one
-// `bgp::Router`, whose RIB mutations are already serialized by its
-// delivery mutex.  `ArenaAllocator` makes the arena usable as a standard
+// Concurrency: none.  Each arena is owned by one `bgp::Router`, whose RIBs
+// only the thread driving its fabric mutates.  `ArenaAllocator` makes the arena usable as a standard
 // allocator; it is deliberately *not* default-constructible so every
 // container creation site names its arena explicitly.
 #pragma once

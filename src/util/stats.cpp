@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace vns::util {
@@ -99,39 +98,6 @@ std::vector<CurvePoint> thin_curve(std::span<const CurvePoint> curve, std::size_
     thinned.push_back(curve[index]);
   }
   return thinned;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double value, double weight) noexcept {
-  if (std::isnan(value)) return;
-  if (value < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  const auto bin = static_cast<std::size_t>(std::floor((value - lo_) / width_));
-  if (bin >= counts_.size()) {
-    overflow_ += weight;
-    return;
-  }
-  counts_[bin] += weight;
-}
-
-double Histogram::bin_lo(std::size_t bin) const noexcept {
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const noexcept {
-  return lo_ + width_ * static_cast<double>(bin + 1);
-}
-
-double Histogram::total() const noexcept {
-  double sum = 0.0;
-  for (double c : counts_) sum += c;
-  return sum;
 }
 
 }  // namespace vns::util

@@ -1,6 +1,6 @@
 // Descriptive statistics used throughout the measurement harness:
-// running summaries, percentiles, empirical CDF/CCDF curves (the paper's
-// figures 3, 6, 9) and fixed-bin histograms (figure 12's hourly counts).
+// running summaries, percentiles and empirical CDF/CCDF curves (the paper's
+// figures 3, 6, 9).
 #pragma once
 
 #include <cstddef>
@@ -76,36 +76,5 @@ struct CurvePoint {
 /// always keeping the first and last points.
 [[nodiscard]] std::vector<CurvePoint> thin_curve(std::span<const CurvePoint> curve,
                                                  std::size_t max_points);
-
-/// Fixed-width-bin histogram over [lo, hi).  Out-of-range samples are
-/// tallied separately as underflow/overflow rather than clamped into the
-/// edge bins (clamping silently biased loss/delay distributions toward the
-/// edges); NaN samples are dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double value, double weight = 1.0) noexcept;
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] double bin_lo(std::size_t bin) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t bin) const noexcept;
-  [[nodiscard]] double count(std::size_t bin) const noexcept { return counts_[bin]; }
-  /// Weight of samples below `lo` / at or above `hi`.
-  [[nodiscard]] double underflow() const noexcept { return underflow_; }
-  [[nodiscard]] double overflow() const noexcept { return overflow_; }
-  /// In-range weight only.
-  [[nodiscard]] double total() const noexcept;
-  /// Everything ever added, including out-of-range weight.
-  [[nodiscard]] double total_with_outliers() const noexcept {
-    return total() + underflow_ + overflow_;
-  }
-
- private:
-  double lo_;
-  double width_;
-  std::vector<double> counts_;
-  double underflow_ = 0.0;
-  double overflow_ = 0.0;
-};
 
 }  // namespace vns::util

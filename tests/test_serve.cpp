@@ -219,6 +219,22 @@ TEST(Serve, TraceGenerationIsDeterministicAndRoundTripsThroughJsonl) {
       "\"batches\":1,\"events\":1}\n";
   std::istringstream bad_op{header + "{\"op\":\"frobnicate\",\"batch\":0}\n"};
   EXPECT_FALSE(serve::load_trace(bad_op).has_value());
+  // A header of another version, or one declaring more events than the
+  // trace holds, is refused.
+  const std::string jsonl = serve::trace_to_jsonl(trace);
+  std::string future = jsonl;
+  future.replace(future.find("\"version\":1,"), 12, "\"version\":7,");
+  std::istringstream future_in{future};
+  std::string header_error;
+  EXPECT_FALSE(serve::load_trace(future_in, nullptr, &header_error).has_value());
+  EXPECT_EQ(header_error, "line 1: unsupported version 7");
+  ASSERT_GT(trace.events.size(), 3u);
+  std::size_t cut = 0;
+  for (int line = 0; line < 4; ++line) cut = jsonl.find('\n', cut) + 1;  // header + 3 events
+  std::istringstream truncated{jsonl.substr(0, cut)};
+  EXPECT_FALSE(serve::load_trace(truncated, nullptr, &header_error).has_value());
+  EXPECT_EQ(header_error, "header declares " + std::to_string(trace.events.size()) +
+                              " events, trace has 3");
   // Numbers that overflow or do not fit their field are rejected, never
   // wrapped into a different session, AS, MED, batch, PoP or upstream.
   for (const char* event : {

@@ -1,6 +1,6 @@
 // Unit and property tests for vns::util — RNG determinism and distribution
-// sanity, summary statistics, percentiles, CDF/CCDF construction, histograms,
-// and table formatting.
+// sanity, summary statistics, percentiles, CDF/CCDF construction and table
+// formatting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -225,29 +225,6 @@ TEST(ThinCurve, ShortCurvePassesThrough) {
   std::vector<CurvePoint> curve{{1, 1}, {2, 2}};
   auto thin = thin_curve(curve, 10);
   EXPECT_EQ(thin.size(), 2u);
-}
-
-TEST(Histogram, BinningAndOutliers) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(0.5);
-  h.add(9.99);
-  h.add(-5.0);         // below range: counted as underflow, not bin 0
-  h.add(100.0, 2.0);   // above range: counted as overflow with its weight
-  EXPECT_DOUBLE_EQ(h.count(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.count(9), 1.0);
-  EXPECT_DOUBLE_EQ(h.underflow(), 1.0);
-  EXPECT_DOUBLE_EQ(h.overflow(), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 2.0);
-  EXPECT_DOUBLE_EQ(h.total_with_outliers(), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 4.0);
-}
-
-TEST(Histogram, UpperBoundIsExclusive) {
-  Histogram h{0.0, 10.0, 10};
-  h.add(10.0);  // hi itself lands past the last bin
-  EXPECT_DOUBLE_EQ(h.overflow(), 1.0);
-  EXPECT_DOUBLE_EQ(h.total(), 0.0);
 }
 
 TEST(Table, AlignedOutputContainsCells) {

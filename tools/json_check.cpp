@@ -19,9 +19,14 @@
 // with `file:offset: message` or the first missing path per file.
 // Recursive-descent per RFC 8259: objects, arrays, strings with escape
 // validation, numbers, true/false/null.  No extensions — a trailing comma,
-// bare NaN or unescaped control character is an error.
+// bare NaN or unescaped control character is an error.  Stricter than the
+// RFC where a reader would silently pick one meaning: a key repeated within
+// one object (keys compare as written) and a number beyond a double's range
+// are errors too.
 #include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -121,7 +126,11 @@ struct Parser {
       }
       while (pos < text.size() && std::isdigit(static_cast<unsigned char>(text[pos]))) ++pos;
     }
-    return pos > start;
+    if (std::isinf(std::strtod(std::string{text.substr(start, pos - start)}.c_str(), nullptr))) {
+      pos = start;
+      return fail("number overflows a double");
+    }
+    return true;
   }
 
   bool value(int depth) {
@@ -146,11 +155,16 @@ struct Parser {
       ++pos;
       return true;
     }
+    std::set<std::string_view> keys;
     while (true) {
       skip_ws();
       const std::size_t key_start = pos;
       if (!string()) return false;
       const std::string_view key = text.substr(key_start + 1, pos - key_start - 2);
+      if (!keys.insert(key).second) {
+        pos = key_start;
+        return fail("duplicate key \"" + std::string{key} + "\"");
+      }
       skip_ws();
       if (pos >= text.size() || text[pos] != ':') return fail("expected ':'");
       ++pos;

@@ -15,7 +15,8 @@
 //   --record FILE    generate the trace, save it to FILE, then run it
 //   --replay FILE    load the trace from FILE instead of generating one; a
 //                    malformed line or one naming a session, PoP, upstream
-//                    or link the world lacks exits 1 and names the line
+//                    or link the world lacks exits 1 and names the line, and
+//                    so does a trace recorded for another --scale or --seed
 //   --dump-state F   write the canonical final fabric state dump to F —
 //                    byte-compare two runs to verify replay determinism
 //
@@ -27,6 +28,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "measure/workbench.hpp"
 #include "serve/engine.hpp"
@@ -133,9 +135,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  auto config = measure::WorkbenchConfig::at_scale(args->scale, args->seed);
-  config.threads = args->threads;
-  auto world = measure::Workbench::build(config);
+  auto world = measure::Workbench::build(
+      measure::WorkbenchConfig::at_scale(args->scale, args->seed));
   world->vns().set_geo_routing(true);
 
   serve::UpdateTrace trace;
@@ -152,6 +153,14 @@ int main(int argc, char** argv) {
     auto loaded = serve::load_trace(in, &world->vns(), &error);
     if (!loaded) {
       std::cerr << "vns_serve: bad trace " << args->replay_path << ", " << error << "\n";
+      return 1;
+    }
+    // A trace replays only into the world it was recorded against.
+    const std::string_view scale = topo::to_string(args->scale);
+    if (loaded->scale != scale || loaded->seed != args->seed) {
+      std::cerr << "vns_serve: trace " << args->replay_path << " was recorded for scale "
+                << loaded->scale << ", seed " << loaded->seed << "; this world is scale "
+                << scale << ", seed " << args->seed << "\n";
       return 1;
     }
     trace = std::move(*loaded);
